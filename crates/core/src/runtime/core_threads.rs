@@ -2,11 +2,12 @@
 //! and Retransmitter.
 
 use std::collections::HashMap;
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use smr_metrics::ThreadState;
 use smr_paxos::{Action, BatchBuilder, Event, PaxosReplica};
-use smr_queue::PopError;
+use smr_queue::{BoundedQueue, PopError, PushError};
 use smr_types::{RequestId, Slot, View};
 use smr_wire::{Batch, ProtocolMsg, Request};
 
@@ -21,6 +22,53 @@ const REQUEST_BURST: usize = 1024;
 /// between pipelining-window checks.
 const EVENT_BURST: usize = 256;
 
+/// How often the Protocol thread feeds `Event::Tick` (catch-up and
+/// view-change timers) to the Paxos core; also the longest it blocks.
+const TICK_EVERY: Duration = Duration::from_millis(25);
+
+/// One item on the DispatcherQueue, the Protocol thread's only wake
+/// source.
+#[derive(Debug)]
+pub(crate) enum Dispatch {
+    /// A peer message or a failure-detector suspicion for the Paxos core.
+    Event(Event),
+    /// The Batcher pushed to the ProposalQueue; deduplicated by
+    /// [`ProposalToken`].
+    ProposalReady,
+}
+
+/// Keeps `Dispatch::ProposalReady` to one outstanding token. The Batcher
+/// raises it after each ProposalQueue push and posts a token only if it
+/// was down; the Protocol thread lowers it *before* each ProposalQueue
+/// drain. A batch pushed after the drain's last look therefore finds
+/// the flag down and posts a fresh token: no wake is lost, and a burst
+/// of batches costs one DispatcherQueue push.
+#[derive(Debug, Default)]
+pub(crate) struct ProposalToken(AtomicBool);
+
+impl ProposalToken {
+    /// Producer side, after a ProposalQueue push: posts a token unless
+    /// one is outstanding. A full DispatcherQueue needs none (the
+    /// Protocol thread has work queued and drains proposals before it
+    /// next blocks). `Err(())` once the queue has closed.
+    pub(crate) fn post(&self, dispatcher_q: &BoundedQueue<Dispatch>) -> Result<(), ()> {
+        fence(Ordering::SeqCst);
+        if self.0.swap(true, Ordering::SeqCst) {
+            return Ok(());
+        }
+        match dispatcher_q.try_push(Dispatch::ProposalReady) {
+            Ok(()) | Err(PushError::Full(_)) => Ok(()),
+            Err(PushError::Closed(_)) => Err(()),
+        }
+    }
+
+    /// Consumer side, before draining the ProposalQueue.
+    pub(crate) fn lower(&self) {
+        self.0.store(false, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+    }
+}
+
 /// The Batcher thread (§V-C1): drains the RequestQueue into batches
 /// according to the batching policy and feeds the ProposalQueue. Bursts
 /// move under one RequestQueue lock acquisition, and every batch they
@@ -29,6 +77,12 @@ const EVENT_BURST: usize = 256;
 /// Each request arrives paired with its intake stamp; the stamp of the
 /// request that *opens* a batch becomes the batch's intake time, and
 /// sealing records the intake → sealed transition.
+///
+/// With a batch open the Batcher waits at most until its deadline;
+/// with none it blocks until a request arrives or the queue closes.
+/// After each ProposalQueue push it posts the Protocol thread's
+/// [`ProposalToken`], and after each drain it rings ClientIO threads
+/// holding requests parked on the full RequestQueue.
 pub(crate) fn run_batcher(ctx: &Ctx) {
     let handle = ctx.metrics.register_thread("Batcher");
     let mut builder = BatchBuilder::new(ctx.config.batch());
@@ -37,17 +91,31 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
     // Intake stamp of the batch currently open in the builder.
     let mut open_intake = 0u64;
     loop {
-        let now = ctx.shared.now_ns();
-        // Wait at most until the open batch's deadline.
-        let wait = match builder.next_deadline() {
-            Some(deadline) => Duration::from_nanos(deadline.saturating_sub(now).max(1)),
-            None => Duration::from_millis(10),
+        let popped = match builder.next_deadline() {
+            Some(deadline) => {
+                let wait = deadline.saturating_sub(ctx.shared.now_ns()).max(1);
+                ctx.request_q.pop_wait_all_with(
+                    &mut burst,
+                    REQUEST_BURST,
+                    Duration::from_nanos(wait),
+                    &handle,
+                )
+            }
+            None => ctx
+                .request_q
+                .pop_all_with(&mut burst, REQUEST_BURST, &handle),
         };
-        match ctx
-            .request_q
-            .pop_wait_all_with(&mut burst, REQUEST_BURST, wait, &handle)
-        {
+        match popped {
             Ok(_) => {
+                // The drain freed RequestQueue space: wake ClientIO
+                // threads that parked requests on it. The count was
+                // raised before their pre-park retry, so either that
+                // retry saw this space or this load sees the count.
+                if ctx.parked_requests.load(Ordering::SeqCst) > 0 {
+                    for waker in &ctx.io_wakers {
+                        waker.ring_if_parked();
+                    }
+                }
                 let now = ctx.shared.now_ns();
                 for (req, intake_ns) in burst.drain(..) {
                     if builder.pending_len() == 0 {
@@ -77,6 +145,7 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
                         .proposal_q
                         .push_many_with(completed.drain(..), &handle)
                         .is_err()
+                        || ctx.proposal_ready.post(&ctx.dispatcher_q).is_err()
                     {
                         return;
                     }
@@ -90,7 +159,9 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
                         sealed_ns: now,
                     };
                     ctx.stage.record_sealed(stamp);
-                    if ctx.proposal_q.push_with((batch, stamp), &handle).is_err() {
+                    if ctx.proposal_q.push_with((batch, stamp), &handle).is_err()
+                        || ctx.proposal_ready.post(&ctx.dispatcher_q).is_err()
+                    {
                         return;
                     }
                 }
@@ -102,14 +173,16 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
 
 /// The Protocol thread (§V-C2): the single-threaded event loop around the
 /// pure Paxos state machine. Owns the log; everything it publishes goes
-/// through queues or the shared atomics.
+/// through queues or the shared atomics. It blocks only on the
+/// DispatcherQueue, until the next tick at the latest; the Batcher's
+/// [`ProposalToken`] wakes it for proposals.
 pub(crate) fn run_protocol(ctx: &Ctx) {
     let handle = ctx.metrics.register_thread("Protocol");
     let mut core = PaxosReplica::new(ctx.me, ctx.config.clone());
     core.set_compaction(ctx.compaction);
     let mut actions = Vec::new();
     let mut deliveries: Vec<Decision> = Vec::new();
-    let mut events: Vec<Event> = Vec::new();
+    let mut events: Vec<Dispatch> = Vec::new();
     // Stage clocks of batches this replica proposed, keyed by the
     // batch's first request id and tagged with the slot the proposal
     // took; probed when the decision comes back as a `Deliver`. Cleared
@@ -132,8 +205,7 @@ pub(crate) fn run_protocol(ctx: &Ctx) {
         core.note_snapshot(seen_watermark);
         publish(ctx, &core);
     }
-    let tick_every = Duration::from_millis(25);
-    let mut last_tick = Instant::now();
+    let mut next_tick = Instant::now() + TICK_EVERY;
     loop {
         if ctx.is_shutdown() {
             return;
@@ -148,10 +220,26 @@ pub(crate) fn run_protocol(ctx: &Ctx) {
             }
             publish(ctx, &core);
         }
+        // Tick before the proposal drain, so nothing between the drain
+        // and the block below can reopen the window unseen.
+        let now = Instant::now();
+        if now >= next_tick {
+            next_tick = now + TICK_EVERY;
+            core.handle(Event::Tick, ctx.shared.now_ns(), &mut actions);
+            if apply_actions(ctx, &mut actions, &mut deliveries, &mut pending_clocks).is_err() {
+                return;
+            }
+        }
         // Pull proposals whenever the pipelining window has room. The
         // Batcher prepares batches concurrently (§V-C1), so starting a new
         // ballot is one queue pop, not a batch construction. This stays a
         // per-item pop on purpose: the window check gates every proposal.
+        // With the window shut the token stays as it is: nothing here
+        // needs a wake until a peer's reply (a DispatcherQueue event)
+        // reopens it, and the next pass drains then.
+        if core.window_open() {
+            ctx.proposal_ready.lower();
+        }
         while core.window_open() {
             match ctx.proposal_q.try_pop() {
                 Ok((batch, stamp)) => {
@@ -184,11 +272,14 @@ pub(crate) fn run_protocol(ctx: &Ctx) {
         match ctx.dispatcher_q.pop_wait_all_with(
             &mut events,
             EVENT_BURST,
-            Duration::from_millis(1),
+            next_tick.saturating_duration_since(Instant::now()),
             &handle,
         ) {
             Ok(_) => {
-                for event in events.drain(..) {
+                for item in events.drain(..) {
+                    let Dispatch::Event(event) = item else {
+                        continue; // ProposalReady: the next pass drains
+                    };
                     // A service that cannot restore a snapshot must not
                     // install one: drop peer snapshots on the floor and
                     // keep catching up slot by slot.
@@ -214,13 +305,6 @@ pub(crate) fn run_protocol(ctx: &Ctx) {
             }
             Err(PopError::Empty) => {}
             Err(PopError::Closed) => return,
-        }
-        if last_tick.elapsed() >= tick_every {
-            last_tick = Instant::now();
-            core.handle(Event::Tick, ctx.shared.now_ns(), &mut actions);
-            if apply_actions(ctx, &mut actions, &mut deliveries, &mut pending_clocks).is_err() {
-                return;
-            }
         }
     }
 }
@@ -407,7 +491,11 @@ pub(crate) fn run_failure_detector(ctx: &Ctx) {
             let last = ctx.shared.last_recv_ns(leader).max(view_since);
             if now.saturating_sub(last) > suspect_after && suspected != Some(view) {
                 suspected = Some(view);
-                if ctx.dispatcher_q.push(Event::Suspect { view }).is_err() {
+                if ctx
+                    .dispatcher_q
+                    .push(Dispatch::Event(Event::Suspect { view }))
+                    .is_err()
+                {
                     return;
                 }
             }
@@ -418,10 +506,87 @@ pub(crate) fn run_failure_detector(ctx: &Ctx) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smr_metrics::MetricsRegistry;
     use smr_types::{ClientId, SeqNum};
 
     fn rid(n: u64) -> RequestId {
         RequestId::new(ClientId(n), SeqNum(0))
+    }
+
+    struct Xorshift(u64);
+
+    impl Xorshift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+    }
+
+    /// Lost-wake stress for the proposal token: the producer posts N
+    /// items with random pauses, the consumer follows the Protocol
+    /// thread's rule — lower the token, drain, then block on the
+    /// DispatcherQueue with *no* timeout — and must consume all N. The
+    /// channel timeout is only a hang guard.
+    #[test]
+    fn proposal_token_loses_no_wake() {
+        const N: u64 = 50_000;
+        let proposals: BoundedQueue<u64> = BoundedQueue::new("ProposalQueue", 64);
+        let dispatcher: BoundedQueue<Dispatch> = BoundedQueue::new("DispatcherQueue", 16);
+        let token = std::sync::Arc::new(ProposalToken::default());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let consumer = {
+            let (proposals, dispatcher, token) =
+                (proposals.clone(), dispatcher.clone(), token.clone());
+            std::thread::spawn(move || {
+                let handle = MetricsRegistry::new().register_thread("Protocol");
+                let mut rng = Xorshift(0x2545_F491_4F6C_DD1D);
+                let mut wakes = Vec::new();
+                let mut got = 0u64;
+                loop {
+                    token.lower();
+                    while let Ok(x) = proposals.try_pop() {
+                        assert_eq!(x, got, "FIFO");
+                        got += 1;
+                    }
+                    if got == N {
+                        break;
+                    }
+                    // Widen the gap between the drain and the block: a
+                    // batch pushed here must still post a token.
+                    if rng.next() % 4 == 0 {
+                        std::thread::yield_now();
+                    }
+                    wakes.clear();
+                    dispatcher
+                        .pop_all_with(&mut wakes, 16, &handle)
+                        .expect("dispatcher stays open");
+                }
+                done_tx.send(got).unwrap();
+            })
+        };
+        // Mostly no pause, some yields, a few sleeps long enough for the
+        // consumer to block. The producer runs on its own thread so a
+        // hung consumer (full queue) cannot hold up the hang guard.
+        let producer = std::thread::spawn(move || {
+            let mut rng = Xorshift(0x9E37_79B9_7F4A_7C15);
+            for i in 0..N {
+                proposals.push(i).unwrap();
+                token.post(&dispatcher).unwrap();
+                match rng.next() % 256 {
+                    0 => std::thread::sleep(Duration::from_micros(50)),
+                    1..=31 => std::thread::yield_now(),
+                    _ => {}
+                }
+            }
+        });
+        let got = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("consumer blocked with proposals queued: a wake was lost");
+        assert_eq!(got, N);
+        producer.join().unwrap();
+        consumer.join().unwrap();
     }
 
     /// Regression for the pending-clocks leak: entries whose slot the

@@ -2,14 +2,13 @@
 
 mod client_io;
 mod core_threads;
-mod evented;
 mod replica_io;
 mod service_manager;
 mod stage;
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -35,18 +34,10 @@ use crate::service::{
 };
 use crate::shared::SharedState;
 
-pub use evented::EventedIoOptions;
-pub(crate) use evented::IoWaker;
+pub use client_io::EventedIoOptions;
+use client_io::IoWaker;
+use core_threads::{Dispatch, ProposalToken};
 pub(crate) use service_manager::SnapshotRig;
-
-/// Which ClientIO implementation the builder spawns.
-enum ClientIoMode {
-    /// Thread-per-connection-scan pool (the paper's §V-A; default).
-    Threaded,
-    /// Readiness loop: `pool` threads, each owning an epoll instance and
-    /// a connection slab (see [`evented`]).
-    Evented { pool: usize, opts: EventedIoOptions },
-}
 
 /// How the ServiceManager executes decided commands.
 enum ServiceMode {
@@ -157,7 +148,10 @@ pub(crate) struct Ctx {
     pub request_q: BoundedQueue<(Request, u64)>,
     /// Sealed batches paired with their intake/sealed stamps.
     pub proposal_q: BoundedQueue<(Batch, BatchStamp)>,
-    pub dispatcher_q: BoundedQueue<smr_paxos::Event>,
+    /// The Batcher's "ProposalQueue is non-empty" token (see
+    /// [`ProposalToken`]).
+    pub proposal_ready: ProposalToken,
+    pub dispatcher_q: BoundedQueue<Dispatch>,
     pub decision_q: BoundedQueue<Decision>,
     /// Newest snapshot (blob + watermark) this replica can serve.
     pub snapshots: SnapshotStore,
@@ -172,8 +166,12 @@ pub(crate) struct Ctx {
     /// Indexed by ClientIO thread: newly accepted connections.
     pub intake_qs: Vec<BoundedQueue<Box<dyn ClientConn>>>,
     /// Indexed by ClientIO thread: rings the thread out of `epoll_wait`
-    /// when replies or connections land. No-ops in threaded mode.
+    /// when replies, connections or RequestQueue space arrive.
     pub io_wakers: Vec<IoWaker>,
+    /// Requests ClientIO threads hold because the RequestQueue was full;
+    /// while non-zero, the Batcher rings the ClientIO wakers after each
+    /// drain.
+    pub parked_requests: AtomicUsize,
     pub network: Arc<dyn ReplicaNetwork>,
     pub timers: TimerQueue<RetransmitEntry>,
     pub retransmits: Mutex<HashMap<RetransmitKey, CancelHandle>>,
@@ -231,7 +229,7 @@ pub struct ReplicaBuilder {
     stage_metrics: bool,
     metrics_dump: Option<(PathBuf, Duration)>,
     queue_sampler: Option<Duration>,
-    client_io_mode: ClientIoMode,
+    client_io: EventedIoOptions,
 }
 
 impl ReplicaBuilder {
@@ -251,7 +249,7 @@ impl ReplicaBuilder {
             stage_metrics: true,
             metrics_dump: None,
             queue_sampler: None,
-            client_io_mode: ClientIoMode::Threaded,
+            client_io: EventedIoOptions::default(),
         }
     }
 
@@ -349,20 +347,14 @@ impl ReplicaBuilder {
         self
     }
 
-    /// Replaces the thread-per-connection-scan ClientIO pool with the
-    /// evented path: `pool` readiness-loop threads, each owning an epoll
-    /// instance and a slab of connections, with per-connection reply
-    /// coalescing and slow-reader backpressure (see [`EventedIoOptions`]).
-    /// `pool` overrides [`ClusterConfig::client_io_threads`] and is
-    /// clamped to at least 1. The protocol pipeline is unaffected; on
-    /// platforms without epoll the pool degrades to the threaded loop.
+    /// Tunes the ClientIO readiness loops' per-connection reply
+    /// buffering and slow-reader limits (optional; see
+    /// [`EventedIoOptions`]). The pool size is
+    /// [`ClusterConfig::client_io_threads`].
     ///
     /// [`ClusterConfig::client_io_threads`]: smr_types::ClusterConfig::client_io_threads
-    pub fn with_evented_client_io(mut self, pool: usize, opts: EventedIoOptions) -> Self {
-        self.client_io_mode = ClientIoMode::Evented {
-            pool: pool.max(1),
-            opts,
-        };
+    pub fn with_client_io_options(mut self, opts: EventedIoOptions) -> Self {
+        self.client_io = opts;
         self
     }
 
@@ -459,11 +451,21 @@ impl ReplicaBuilder {
     /// Returns [`SmrError::Config`] if a required component is missing,
     /// `me` is not part of `config`, durability is requested for a
     /// service that cannot snapshot, or recovery from the durable
-    /// directory fails.
+    /// directory fails; [`SmrError::Transport`] if the ClientIO
+    /// readiness loops cannot be set up (always off Linux: they need
+    /// epoll).
     pub fn start(self) -> Result<Replica, SmrError> {
         if !self.config.contains(self.me) {
             return Err(ConfigError::invalid("replica id outside cluster").into());
         }
+        // One epoll instance plus waker per ClientIO thread, made here so
+        // a platform or fd-limit failure surfaces from `start`.
+        let (polls, io_wakers): (Vec<_>, Vec<_>) = (0..self.config.client_io_threads())
+            .map(|_| client_io::readiness_loop())
+            .collect::<std::io::Result<Vec<_>>>()
+            .map_err(|e| SmrError::Transport(format!("ClientIO readiness loop: {e}")))?
+            .into_iter()
+            .unzip();
         let mut service = self
             .service
             .ok_or_else(|| ConfigError::invalid("service is required"))?;
@@ -518,14 +520,7 @@ impl ReplicaBuilder {
         let config = self.config;
         let me = self.me;
         let n = config.n();
-        let evented_opts = match &self.client_io_mode {
-            ClientIoMode::Threaded => None,
-            ClientIoMode::Evented { opts, .. } => Some(opts.clone()),
-        };
-        let k = match &self.client_io_mode {
-            ClientIoMode::Threaded => config.client_io_threads(),
-            ClientIoMode::Evented { pool, .. } => *pool,
-        };
+        let k = polls.len();
         let stage = StageMetrics::new(&metrics, self.stage_metrics);
         // A named counter rather than a free-floating one, so the
         // metrics export picks it up with everything else.
@@ -540,6 +535,7 @@ impl ReplicaBuilder {
             shutdown: AtomicBool::new(false),
             request_q: BoundedQueue::new("RequestQueue", config.request_queue_capacity()),
             proposal_q: BoundedQueue::new("ProposalQueue", config.proposal_queue_capacity()),
+            proposal_ready: ProposalToken::default(),
             dispatcher_q: BoundedQueue::new("DispatcherQueue", config.dispatcher_queue_capacity()),
             decision_q: BoundedQueue::new("DecisionQueue", config.decision_queue_capacity()),
             send_qs: (0..n)
@@ -553,7 +549,8 @@ impl ReplicaBuilder {
             intake_qs: (0..k)
                 .map(|i| BoundedQueue::new(format!("ConnIntake-{i}"), 1024))
                 .collect(),
-            io_wakers: (0..k).map(|_| IoWaker::empty()).collect(),
+            io_wakers,
+            parked_requests: AtomicUsize::new(0),
             network,
             timers: TimerQueue::new(),
             retransmits: Mutex::new(HashMap::new()),
@@ -595,30 +592,20 @@ impl ReplicaBuilder {
                 .expect("spawn replica thread")
         };
 
-        // ClientIO pool + acceptor (§V-A) — threaded or evented per the
-        // builder; the rest of the pipeline is identical either way.
-        for i in 0..k {
+        // ClientIO pool + acceptor (§V-A).
+        for (i, poll) in polls.into_iter().enumerate() {
             let ctx2 = Arc::clone(&ctx);
+            let opts = self.client_io.clone();
             threads.push(spawn(
                 format!("ClientIO-{i}"),
-                match &evented_opts {
-                    Some(opts) => {
-                        let opts = opts.clone();
-                        Box::new(move || evented::run_evented_client_io(&ctx2, i, &opts))
-                    }
-                    None => Box::new(move || client_io::run_client_io(&ctx2, i)),
-                },
+                Box::new(move || client_io::run_client_io(&ctx2, i, poll, &opts)),
             ));
         }
         {
             let ctx2 = Arc::clone(&ctx);
             threads.push(spawn(
                 "ClientAcceptor".into(),
-                if evented_opts.is_some() {
-                    Box::new(move || evented::run_evented_acceptor(&ctx2, listener))
-                } else {
-                    Box::new(move || client_io::run_acceptor(&ctx2, listener))
-                },
+                Box::new(move || client_io::run_acceptor(&ctx2, listener)),
             ));
         }
         // ReplicaIO: one sender + one receiver per peer (§V-B).
@@ -940,8 +927,8 @@ impl Replica {
         }
         self.ctx.timers.close();
         self.ctx.network.shutdown();
-        // Kick evented ClientIO threads out of epoll_wait so they
-        // observe the flag now rather than at their next timeout.
+        // Kick ClientIO threads out of epoll_wait so they observe the
+        // flag (they block with no timeout).
         for w in &self.ctx.io_wakers {
             w.ring();
         }

@@ -8,6 +8,7 @@ use smr_paxos::Event;
 use smr_types::ReplicaId;
 use smr_wire::{Codec, ProtocolMsg};
 
+use super::core_threads::Dispatch;
 use super::Ctx;
 
 /// Sender thread for one peer: drains the peer's SendQueue, serializes,
@@ -61,7 +62,7 @@ pub(crate) fn run_receiver(ctx: &Ctx, peer: ReplicaId) {
                     Ok(msg) => {
                         if ctx
                             .dispatcher_q
-                            .push_with(Event::Message { from: peer, msg }, &handle)
+                            .push_with(Dispatch::Event(Event::Message { from: peer, msg }), &handle)
                             .is_err()
                         {
                             return;

@@ -495,18 +495,18 @@ fn route_replies(
         outboxes[cio].push((conn, Reply::new(id, payload)));
     }
     for (cio, outbox) in outboxes.iter_mut().enumerate() {
-        if !outbox.is_empty() {
-            // Ring before a potentially blocking push: if the queue is
-            // full, the drain this push waits for needs the evented
-            // thread out of epoll_wait. (No-op in threaded mode.)
-            ctx.io_wakers[cio].ring();
-            if ctx.reply_qs[cio]
-                .push_many_with(outbox.drain(..), handle)
-                .is_err()
-            {
+        // This thread is the reply queue's only producer, so
+        // `capacity − len` is room nobody else can take: a chunk that
+        // size never blocks, and the ring after it wakes a parked
+        // ClientIO thread before the next chunk can wait on its drain.
+        let q = &ctx.reply_qs[cio];
+        while !outbox.is_empty() {
+            let room = q.capacity().saturating_sub(q.len()).max(1);
+            let n = room.min(outbox.len());
+            if q.push_many_with(outbox.drain(..n), handle).is_err() {
                 return false;
             }
-            ctx.io_wakers[cio].ring();
+            ctx.io_wakers[cio].ring_if_parked();
         }
     }
     true

@@ -1,27 +1,31 @@
-//! End-to-end tests of the evented ClientIO mode: the readiness-loop
-//! client path must be indistinguishable from the thread-per-connection
-//! default (same replies, same state), must isolate slow readers behind
-//! per-connection outbound buffering, and must tolerate large numbers of
-//! idle connections.
+//! End-to-end tests of the ClientIO readiness loop: in-memory and TCP
+//! clients must be indistinguishable (same replies, same state), slow
+//! readers must be isolated behind per-connection outbound buffering,
+//! and large numbers of idle connections must cost nothing. The
+//! in-memory cases run on the connection eventfd, the TCP case on
+//! sockets; both through the one loop.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smr_core::{ConcurrentKvService, EventedIoOptions, InProcessCluster, KvService, ServiceState};
+use smr_core::{
+    ConcurrentKvService, EventedIoOptions, InProcessCluster, KvService, ServiceState, SmrClient,
+};
+use smr_net::tcp::{TcpClientEndpoint, TcpClientListener};
 use smr_types::{ClientId, ClusterConfig, ReplicaId, RequestId, SeqNum};
 use smr_wire::{ClientMsg, Codec, Request};
 
-fn small_config(n: usize) -> ClusterConfig {
+fn small_config(n: usize, client_io_threads: usize) -> ClusterConfig {
     ClusterConfig::builder(n)
         .heartbeat_interval(Duration::from_millis(40))
         .suspect_timeout(Duration::from_millis(200))
+        .client_io_threads(client_io_threads)
         .build()
         .unwrap()
 }
 
-/// Runs `ops` through a fresh cluster and returns the replies.
-fn run_workload(cluster: &InProcessCluster, ops: &[Vec<u8>]) -> Vec<Vec<u8>> {
-    let mut client = cluster.client();
+/// Runs `ops` through `client` and returns the replies.
+fn run_workload(client: &mut SmrClient, ops: &[Vec<u8>]) -> Vec<Vec<u8>> {
     ops.iter().map(|op| client.execute(op).unwrap()).collect()
 }
 
@@ -59,58 +63,73 @@ fn converged_hash(services: &[Arc<ConcurrentKvService>]) -> u64 {
 }
 
 #[test]
-fn evented_and_threaded_modes_produce_identical_state_and_replies() {
+fn memory_and_tcp_clients_produce_identical_state_and_replies() {
     let ops = workload();
 
-    // Thread-per-connection mode (the compat default).
-    let thr_services: Vec<Arc<ConcurrentKvService>> = (0..3)
+    // In-memory clients: each connection's eventfd wakes the loop.
+    let mem_services: Vec<Arc<ConcurrentKvService>> = (0..3)
         .map(|_| Arc::new(ConcurrentKvService::default()))
         .collect();
-    let thr_cluster = {
-        let services = thr_services.clone();
-        InProcessCluster::start(small_config(3), move |id: ReplicaId| {
+    let mem_cluster = {
+        let services = mem_services.clone();
+        InProcessCluster::start(small_config(3, 2), move |id: ReplicaId| {
             Box::new(Arc::clone(&services[id.index()]))
         })
     };
-    let thr_replies = run_workload(&thr_cluster, &ops);
-    let thr_hash = converged_hash(&thr_services);
-    thr_cluster.shutdown();
+    let mem_replies = run_workload(&mut mem_cluster.client(), &ops);
+    let mem_hash = converged_hash(&mem_services);
+    mem_cluster.shutdown();
 
-    // Evented mode: same service type, same workload, readiness-loop
-    // ClientIO with a 2-thread pool.
-    let ev_services: Vec<Arc<ConcurrentKvService>> = (0..3)
+    // TCP clients: same service type, same workload, each replica's
+    // client listener on a loopback socket (consensus stays in memory).
+    let tcp_services: Vec<Arc<ConcurrentKvService>> = (0..3)
         .map(|_| Arc::new(ConcurrentKvService::default()))
         .collect();
-    let ev_cluster = {
-        let services = ev_services.clone();
-        InProcessCluster::start_with(small_config(3), move |id, builder| {
+    let mut addrs = Vec::new();
+    let tcp_cluster = {
+        let services = tcp_services.clone();
+        InProcessCluster::start_with(small_config(3, 2), |id, builder| {
+            let listener = TcpClientListener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+            addrs.push(listener.local_addr().unwrap());
             builder
                 .with_service(Box::new(Arc::clone(&services[id.index()])))
-                .with_evented_client_io(2, EventedIoOptions::default())
+                .with_client_listener(Box::new(listener))
+                .with_client_io_options(EventedIoOptions::default())
         })
     };
-    let ev_replies = run_workload(&ev_cluster, &ops);
-    let ev_hash = converged_hash(&ev_services);
-    ev_cluster.shutdown();
+    let mut tcp_client = SmrClient::new(
+        ClientId(1),
+        3,
+        Box::new(move |r: ReplicaId| {
+            TcpClientEndpoint::connect(addrs[r.index()]).map(|ep| Box::new(ep) as _)
+        }),
+    )
+    .with_timeouts(Duration::from_millis(250), Duration::from_secs(20));
+    let tcp_replies = run_workload(&mut tcp_client, &ops);
+    let tcp_hash = converged_hash(&tcp_services);
+    tcp_cluster.shutdown();
 
-    assert_eq!(thr_replies, ev_replies, "same replies in both modes");
-    assert_eq!(thr_hash, ev_hash, "same final state in both modes");
     assert_eq!(
-        thr_services[0].entries(),
-        ev_services[0].entries(),
+        mem_replies, tcp_replies,
+        "same replies over both transports"
+    );
+    assert_eq!(mem_hash, tcp_hash, "same final state over both transports");
+    assert_eq!(
+        mem_services[0].entries(),
+        tcp_services[0].entries(),
         "bit-identical entries"
     );
 }
 
 #[test]
 fn slow_reader_does_not_stall_other_clients() {
-    // Single replica, single evented ClientIO thread: the slow reader and
-    // the healthy client share one loop, so any blocking send to the slow
+    // Single replica, single ClientIO thread: the slow reader and the
+    // healthy client share one loop, so any blocking send to the slow
     // reader would stall the healthy client's replies.
-    let cluster = InProcessCluster::start_with(small_config(1), |_, builder| {
+    let cluster = InProcessCluster::start_with(small_config(1, 1), |_, builder| {
         builder
             .with_service(Box::new(KvService::new()))
-            .with_evented_client_io(1, EventedIoOptions::default())
+            .with_client_io_options(EventedIoOptions::default())
     });
 
     // Establish leadership first: a raw connection gets a Redirect (not a
@@ -123,8 +142,9 @@ fn slow_reader_does_not_stall_other_clients() {
 
     // A raw connection that sends requests but never reads replies. The
     // in-memory outbound queue holds 64 frames; past that, `try_send`
-    // refuses and the evented loop must park replies in the connection's
-    // overflow buffer instead of blocking.
+    // refuses and the loop must park replies in the connection's
+    // overflow buffer instead of blocking; the reader's pops ring the
+    // connection's eventfd to resume the flush.
     const SLOW_REQUESTS: u64 = 120;
     let mut slow = cluster
         .hub()
@@ -177,11 +197,9 @@ fn many_idle_connections_do_not_stall_active_clients() {
     const IDLE_CONNS: usize = 500;
     const OPS: u32 = 60;
 
-    fn start_evented() -> InProcessCluster {
-        InProcessCluster::start_with(small_config(1), |_, builder| {
-            builder
-                .with_service(Box::new(KvService::new()))
-                .with_evented_client_io(2, EventedIoOptions::default())
+    fn start_replica() -> InProcessCluster {
+        InProcessCluster::start_with(small_config(1, 2), |_, builder| {
+            builder.with_service(Box::new(KvService::new()))
         })
     }
 
@@ -197,13 +215,13 @@ fn many_idle_connections_do_not_stall_active_clients() {
     }
 
     // Baseline: no idle connections.
-    let cluster = start_evented();
+    let cluster = start_replica();
     let baseline = timed_ops(&cluster);
     cluster.shutdown();
 
     // Same cluster shape with 500 connected-but-silent clients adopted
-    // into the evented loops before the workload starts.
-    let cluster = start_evented();
+    // into the ClientIO loops before the workload starts.
+    let cluster = start_replica();
     let idle: Vec<_> = (0..IDLE_CONNS)
         .map(|_| cluster.hub().connect_client(ReplicaId(0)).unwrap())
         .collect();
@@ -219,4 +237,69 @@ fn many_idle_connections_do_not_stall_active_clients() {
         with_idle <= baseline * 4 + Duration::from_secs(2),
         "500 idle connections degraded throughput: baseline {baseline:?}, with idle {with_idle:?}"
     );
+}
+
+#[test]
+fn full_request_queue_parks_and_resumes_every_request() {
+    // A two-slot RequestQueue: most requests park their connection, and
+    // only the Batcher's ring after a drain resumes them — no timer
+    // does. Raw connections never resend, so one lost wake leaves a
+    // request parked for good.
+    const CONNS: u64 = 16;
+    const PER_CONN: u64 = 20;
+    let config = ClusterConfig::builder(1)
+        .request_queue_capacity(2)
+        .client_io_threads(2)
+        .build()
+        .unwrap();
+    let cluster = InProcessCluster::start_with(config, |_, builder| {
+        builder.with_service(Box::new(KvService::new()))
+    });
+    // Leadership first: a raw connection never retries a Redirect.
+    cluster
+        .client()
+        .execute(&KvService::put(b"warmup", b"1"))
+        .expect("warm-up op");
+
+    use smr_net::ClientEndpoint;
+    let mut conns: Vec<_> = (0..CONNS)
+        .map(|_| cluster.hub().connect_client(ReplicaId(0)).unwrap())
+        .collect();
+    for (c, conn) in conns.iter_mut().enumerate() {
+        for seq in 0..PER_CONN {
+            let request = Request::new(
+                RequestId::new(ClientId(1_000 + c as u64), SeqNum(seq)),
+                KvService::put(&[b'p', c as u8], &seq.to_le_bytes()),
+            );
+            conn.send(ClientMsg::Request(request).encode_to_vec())
+                .expect("send");
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for (c, conn) in conns.iter_mut().enumerate() {
+        let mut got = 0u64;
+        while got < PER_CONN {
+            if let Some(frame) = conn.recv_timeout(Duration::from_millis(200)).unwrap() {
+                if let Ok(ClientMsg::Reply(_)) = ClientMsg::decode(&frame) {
+                    got += 1;
+                }
+            }
+            assert!(
+                Instant::now() < deadline,
+                "connection {c}: only {got}/{PER_CONN} replies; a parked request was never resumed"
+            );
+        }
+    }
+    let parks = cluster
+        .replica(ReplicaId(0))
+        .metrics_snapshot()
+        .queues
+        .iter()
+        .find(|q| q.name == "RequestQueue")
+        .map_or(0, |q| q.push_waits);
+    assert!(
+        parks > 0,
+        "the RequestQueue never filled; nothing was parked"
+    );
+    cluster.shutdown();
 }

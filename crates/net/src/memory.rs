@@ -7,7 +7,7 @@
 //! [`MemoryHub::isolate`]) to exercise retransmission, failure detection
 //! and catch-up.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -145,7 +145,9 @@ impl MemoryHub {
     ///
     /// # Errors
     ///
-    /// [`NetError::Closed`] after shutdown.
+    /// [`NetError::Closed`] after shutdown; [`NetError::Io`] when the
+    /// connection's eventfd cannot be created (fd exhaustion, or a
+    /// target without eventfd).
     pub fn connect_client(&self, replica: ReplicaId) -> Result<MemoryClientEndpoint, NetError> {
         if self.inner.shutdown.load(Ordering::Acquire) {
             return Err(NetError::Closed);
@@ -153,10 +155,16 @@ impl MemoryHub {
         let id = self.inner.next_conn_id.fetch_add(1, Ordering::Relaxed);
         let c2s = BoundedQueue::new(format!("conn-{id}-c2s"), CLIENT_CAPACITY);
         let s2c = BoundedQueue::new(format!("conn-{id}-s2c"), CLIENT_CAPACITY);
+        let bell = Arc::new(ConnBell {
+            notifier: mio::Notifier::new()?,
+            rung: AtomicBool::new(false),
+            blocked: AtomicBool::new(false),
+        });
         let server = MemoryServerConn {
             id,
             incoming: c2s.clone(),
             outgoing: s2c.clone(),
+            bell: Arc::clone(&bell),
         };
         self.inner.pending_conns[replica.index()]
             .push(server)
@@ -164,6 +172,7 @@ impl MemoryHub {
         Ok(MemoryClientEndpoint {
             outgoing: c2s,
             incoming: s2c,
+            bell,
         })
     }
 
@@ -280,21 +289,69 @@ impl ReplicaNetwork for MemoryReplicaNetwork {
     }
 }
 
+/// The readiness half of one in-memory client connection, shared by
+/// both ends: an eventfd the server end hands out as its
+/// [`ClientConn::raw_fd`], so the ClientIO readiness loop registers it like
+/// a socket, plus two flags that keep rings to one per wait.
+///
+/// Both flags follow the same rule: the waiting side sets or clears its
+/// flag, then (after a `SeqCst` fence) looks at the queue once more;
+/// the other side changes the queue, fences, then reads the flag. One
+/// of the two always sees the other, so no wake is lost.
+#[derive(Debug)]
+struct ConnBell {
+    notifier: mio::Notifier,
+    /// A ring for inbound frames is outstanding. The client sets it
+    /// when it rings; the server clears it when it drains to empty, so
+    /// a burst of sends between two drains costs one `write(2)`.
+    rung: AtomicBool,
+    /// The server's outbound queue refused a frame; the client's next
+    /// pop rings so the server can retry its flush.
+    blocked: AtomicBool,
+}
+
+impl ConnBell {
+    /// Client side, after pushing an inbound frame.
+    fn ring_inbound(&self) {
+        fence(Ordering::SeqCst);
+        if !self.rung.swap(true, Ordering::SeqCst) {
+            let _ = self.notifier.notify();
+        }
+    }
+
+    /// Client side, after popping a reply.
+    fn ring_space(&self) {
+        fence(Ordering::SeqCst);
+        if self.blocked.load(Ordering::SeqCst) && self.blocked.swap(false, Ordering::SeqCst) {
+            let _ = self.notifier.notify();
+        }
+    }
+}
+
 /// Server side of an in-memory client connection.
 #[derive(Debug)]
 pub struct MemoryServerConn {
     id: u64,
     incoming: BoundedQueue<Vec<u8>>,
     outgoing: BoundedQueue<Vec<u8>>,
+    bell: Arc<ConnBell>,
 }
 
 impl ClientConn for MemoryServerConn {
     fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        match self.incoming.try_pop() {
+        let pop = |q: &BoundedQueue<Vec<u8>>| match q.try_pop() {
             Ok(frame) => Ok(Some(frame)),
             Err(PopError::Empty) => Ok(None),
             Err(PopError::Closed) => Err(NetError::Closed),
+        };
+        if let Some(frame) = pop(&self.incoming)? {
+            return Ok(Some(frame));
         }
+        // Drained: re-arm the client's ring, then look once more — a
+        // frame pushed after this look finds the flag clear and rings.
+        self.bell.rung.store(false, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        pop(&self.incoming)
     }
 
     fn send(&mut self, frame: Vec<u8>) -> Result<(), NetError> {
@@ -305,6 +362,10 @@ impl ClientConn for MemoryServerConn {
         self.id
     }
 
+    fn raw_fd(&self) -> Option<i32> {
+        Some(self.bell.notifier.raw_fd())
+    }
+
     fn try_send(
         &mut self,
         frame: Vec<u8>,
@@ -312,7 +373,16 @@ impl ClientConn for MemoryServerConn {
     ) -> Result<Option<Vec<u8>>, NetError> {
         // The bounded queue is the outbound buffer: `Full` is the
         // slow-reader signal (a blocking `send` here would stall the
-        // whole evented loop on one unread client).
+        // whole ClientIO loop on one unread client).
+        let frame = match self.outgoing.try_push(frame) {
+            Ok(()) => return Ok(None),
+            Err(PushError::Full(frame)) => frame,
+            Err(PushError::Closed(_)) => return Err(NetError::Closed),
+        };
+        // Ask the client's next pop to ring, then retry once: a pop
+        // that landed before the flag was set freed a slot already.
+        self.bell.blocked.store(true, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
         match self.outgoing.try_push(frame) {
             Ok(()) => Ok(None),
             Err(PushError::Full(frame)) => Ok(Some(frame)),
@@ -343,16 +413,22 @@ impl ClientListener for MemoryClientListener {
 pub struct MemoryClientEndpoint {
     outgoing: BoundedQueue<Vec<u8>>,
     incoming: BoundedQueue<Vec<u8>>,
+    bell: Arc<ConnBell>,
 }
 
 impl ClientEndpoint for MemoryClientEndpoint {
     fn send(&mut self, frame: Vec<u8>) -> Result<(), NetError> {
-        self.outgoing.push(frame).map_err(|_| NetError::Closed)
+        self.outgoing.push(frame).map_err(|_| NetError::Closed)?;
+        self.bell.ring_inbound();
+        Ok(())
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
         match self.incoming.pop_timeout(timeout) {
-            Ok(frame) => Ok(Some(frame)),
+            Ok(frame) => {
+                self.bell.ring_space();
+                Ok(Some(frame))
+            }
             Err(PopError::Empty) => Ok(None),
             Err(PopError::Closed) => Err(NetError::Closed),
         }
@@ -464,6 +540,110 @@ mod tests {
         // frame that was in flight when the old endpoint detached.
         let n1b = hub.replica_network(ReplicaId(1));
         assert_eq!(n1b.recv_from(ReplicaId(0)).unwrap(), vec![1]);
+    }
+
+    /// Lost-wake stress for the connection eventfd: the client sends
+    /// with random pauses; the server follows the ClientIO loop's rule —
+    /// drain to empty, then block with no timeout — and must see every
+    /// frame. The channel timeout is only a hang guard.
+    #[test]
+    fn eventfd_drain_then_block_loses_no_wake() {
+        const FRAMES: u64 = 20_000;
+        let hub = MemoryHub::new(1, 1);
+        let listener = hub.client_listener(ReplicaId(0));
+        let mut client = hub.connect_client(ReplicaId(0)).unwrap();
+        let mut server = listener
+            .accept_timeout(Duration::from_secs(1))
+            .unwrap()
+            .expect("connection pending");
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let consumer = std::thread::spawn(move || {
+            let mut poll = mio::Poll::new().unwrap();
+            let fd = server.raw_fd().expect("in-memory conns carry an eventfd");
+            poll.registry()
+                .register(
+                    &mut mio::unix::SourceFd(&fd),
+                    mio::Token(0),
+                    mio::Interest::READABLE,
+                )
+                .unwrap();
+            let mut events = mio::Events::with_capacity(4);
+            let mut rng = SmallRng::seed_from_u64(8);
+            let mut got = 0u64;
+            while got < FRAMES {
+                while let Some(frame) = server.try_recv().unwrap() {
+                    assert_eq!(frame, got.to_le_bytes(), "FIFO");
+                    got += 1;
+                }
+                if got < FRAMES {
+                    // Widen the gap between the drain and the block: a
+                    // frame sent here must still ring.
+                    if rng.gen_range(0..4u64) == 0 {
+                        std::thread::yield_now();
+                    }
+                    poll.poll(&mut events, None).unwrap();
+                }
+            }
+            done_tx.send(got).unwrap();
+        });
+        // The client runs on its own thread so a hung consumer (full
+        // queue) cannot hold up the hang guard.
+        let producer = std::thread::spawn(move || {
+            let mut rng = SmallRng::seed_from_u64(7);
+            for i in 0..FRAMES {
+                client.send(i.to_le_bytes().to_vec()).unwrap();
+                match rng.gen_range(0..100u64) {
+                    0 => std::thread::sleep(Duration::from_micros(50)),
+                    1..=9 => std::thread::yield_now(),
+                    _ => {}
+                }
+            }
+        });
+        let got = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("consumer blocked with frames queued: a wake was lost");
+        assert_eq!(got, FRAMES);
+        producer.join().unwrap();
+        consumer.join().unwrap();
+    }
+
+    /// A reply refused on a full outbound queue arms the client's pop to
+    /// ring the same eventfd, so a writer parked on it learns of space.
+    #[test]
+    fn freed_space_rings_the_server() {
+        let hub = MemoryHub::new(1, 1);
+        let listener = hub.client_listener(ReplicaId(0));
+        let mut client = hub.connect_client(ReplicaId(0)).unwrap();
+        let mut server = listener
+            .accept_timeout(Duration::from_secs(1))
+            .unwrap()
+            .expect("connection pending");
+        let mut poll = mio::Poll::new().unwrap();
+        let fd = server.raw_fd().unwrap();
+        poll.registry()
+            .register(
+                &mut mio::unix::SourceFd(&fd),
+                mio::Token(0),
+                mio::Interest::READABLE,
+            )
+            .unwrap();
+        for i in 0..CLIENT_CAPACITY {
+            assert_eq!(server.try_send(vec![i as u8], 0).unwrap(), None);
+        }
+        let refused = server.try_send(vec![0xff], 0).unwrap();
+        assert_eq!(refused, Some(vec![0xff]), "full queue hands the frame back");
+        let mut events = mio::Events::with_capacity(4);
+        poll.poll(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.is_empty(), "no ring before the client reads");
+        assert!(client
+            .recv_timeout(Duration::from_secs(1))
+            .unwrap()
+            .is_some());
+        poll.poll(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert!(!events.is_empty(), "the pop rang the server");
+        assert_eq!(server.try_send(vec![0xff], 0).unwrap(), None);
     }
 
     #[test]

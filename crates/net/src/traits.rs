@@ -51,10 +51,10 @@ pub trait ClientConn: Send + 'static {
     /// Stable identifier for logs.
     fn id(&self) -> u64;
 
-    /// Raw file descriptor for readiness registration, when the transport
-    /// is backed by one (TCP). `None` means the connection must be polled
-    /// (in-memory transport) — the evented loop scans such connections on
-    /// its tick instead of registering them with epoll.
+    /// Raw file descriptor for edge-triggered readiness registration: the
+    /// socket for TCP, an eventfd the client side rings for the
+    /// in-memory transport. The ClientIO loop blocks on nothing else, so
+    /// it refuses a connection that returns `None`.
     fn raw_fd(&self) -> Option<i32> {
         None
     }
@@ -108,7 +108,7 @@ pub trait ClientListener: Send + 'static {
     fn accept_timeout(&self, timeout: Duration) -> Result<Option<Box<dyn ClientConn>>, NetError>;
 
     /// Raw file descriptor of the listening socket, when there is one, so
-    /// an evented acceptor can park on readiness instead of sleep-polling.
+    /// the acceptor can park on readiness instead of sleep-polling.
     fn raw_fd(&self) -> Option<i32> {
         None
     }

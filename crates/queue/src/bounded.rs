@@ -108,6 +108,10 @@ pub struct QueueStats {
 #[repr(align(64))]
 struct CachePadded<T>(T);
 
+/// The closed flag, kept in the top bit of `enqueue_head` (positions
+/// never come near 2^63).
+const CLOSED: u64 = 1 << 63;
+
 /// The lock-free bounded MPMC ring: four cache-line-padded position
 /// counters around a bare value array, in the in-order-frontier style
 /// of DPDK's `rte_ring` (rather than the per-slot-sequence Vyukov
@@ -124,7 +128,17 @@ struct CachePadded<T>(T);
 /// that producers measure free space against.
 ///
 /// Invariant: `dequeue_tail ≤ dequeue_head ≤ enqueue_tail ≤
-/// enqueue_head`, and `enqueue_head − dequeue_tail ≤ cap`.
+/// enqueue_head`, and `enqueue_head − dequeue_tail ≤ cap` (positions
+/// taken without the [`CLOSED`] bit).
+///
+/// Closing sets the [`CLOSED`] bit in `enqueue_head` itself, so close
+/// and every push claim are ordered by one atomic: a claim CAS either
+/// lands before the close (its items are committed, and a consumer
+/// that sees the bit also sees them in the committed length) or fails
+/// against the bit. A separate closed flag checked before the claim
+/// would leave a window in which a push that read "open" claims after
+/// the close, after consumers already drained to empty and left —
+/// an accepted item nobody pops.
 ///
 /// The payoff over per-slot sequence numbers is that *nothing
 /// per-item* remains on the hot path: a burst costs one CAS and one
@@ -157,6 +171,7 @@ struct CachePadded<T>(T);
 ///   and the lock serializes "about to wait" with "about to notify".
 struct Ring<T> {
     /// Producer claim frontier: slots below are claimed for writing.
+    /// Its top bit is [`CLOSED`].
     enqueue_head: CachePadded<AtomicU64>,
     /// Published frontier: every position below is fully written.
     enqueue_tail: CachePadded<AtomicU64>,
@@ -195,7 +210,8 @@ impl<T> Ring<T> {
     /// tail: one load of the freed frontier and one CAS, no per-slot
     /// work. Returns `(first position, count)`, or `None` when no free
     /// space exists (queue full, or the freeing consumer has claimed
-    /// items but not yet advanced `dequeue_tail`).
+    /// items but not yet advanced `dequeue_tail`) or the ring is
+    /// closed.
     ///
     /// Reading `enqueue_head` *before* `dequeue_tail` means the free
     /// space can only be under-estimated by a racing release — and a
@@ -205,6 +221,9 @@ impl<T> Ring<T> {
         let want = want.min(self.cap as usize) as u64;
         loop {
             let e = self.enqueue_head.0.load(Ordering::Relaxed);
+            if e & CLOSED != 0 {
+                return None;
+            }
             let freed = self.dequeue_tail.0.load(Ordering::SeqCst);
             // `freed` was loaded second, so it can exceed a stale `e`;
             // the saturation makes that harmless (the CAS fails on a
@@ -250,7 +269,7 @@ impl<T> Ring<T> {
             // Loaded after `d`: a lower bound on the claims-committed
             // frontier at CAS time, so `d..d + run` only covers items
             // some producer owns and will publish.
-            let committed = self.enqueue_head.0.load(Ordering::SeqCst);
+            let committed = self.enqueue_head.0.load(Ordering::SeqCst) & !CLOSED;
             let run = committed.saturating_sub(d).min(max);
             if run == 0 {
                 if self.dequeue_head.0.load(Ordering::Relaxed) != d {
@@ -415,7 +434,7 @@ impl<T> Ring<T> {
     /// `cap` (the dequeue head can only have advanced further by the
     /// time it is read).
     fn len(&self) -> usize {
-        let e = self.enqueue_head.0.load(Ordering::SeqCst);
+        let e = self.enqueue_head.0.load(Ordering::SeqCst) & !CLOSED;
         let d = self.dequeue_head.0.load(Ordering::SeqCst);
         e.saturating_sub(d).min(self.cap) as usize
     }
@@ -424,7 +443,7 @@ impl<T> Ring<T> {
     /// the committed range, so `enqueue_head != dequeue_head` means a
     /// claim would succeed and the consumer must not sleep).
     fn pop_ready(&self) -> bool {
-        let e = self.enqueue_head.0.load(Ordering::SeqCst);
+        let e = self.enqueue_head.0.load(Ordering::SeqCst) & !CLOSED;
         let d = self.dequeue_head.0.load(Ordering::SeqCst);
         e != d
     }
@@ -435,9 +454,18 @@ impl<T> Ring<T> {
     /// more often, and a spurious ready just loops back to a failing
     /// claim.
     fn push_ready(&self) -> bool {
-        let e = self.enqueue_head.0.load(Ordering::SeqCst);
+        let e = self.enqueue_head.0.load(Ordering::SeqCst) & !CLOSED;
         let freed = self.dequeue_tail.0.load(Ordering::SeqCst);
         e.saturating_sub(freed) < self.cap
+    }
+
+    /// Sets the [`CLOSED`] bit: no claim succeeds from here on.
+    fn close(&self) {
+        self.enqueue_head.0.fetch_or(CLOSED, Ordering::SeqCst);
+    }
+
+    fn is_closed(&self) -> bool {
+        self.enqueue_head.0.load(Ordering::SeqCst) & CLOSED != 0
     }
 }
 
@@ -493,11 +521,6 @@ struct Inner<T> {
     /// Producers parked on `not_full`; the dual of `pop_sleepers`.
     push_sleepers: AtomicUsize,
     capacity: usize,
-    // Close-wakes-waiters handshake: `close` stores the flag and *then*
-    // acquires `waiters` before notifying. Any would-be sleeper either
-    // observes the flag during its under-lock re-check, or is already
-    // parked and receives the notify.
-    closed: AtomicBool,
     name: String,
     pushed: Counter,
     popped: Counter,
@@ -530,7 +553,7 @@ impl<T> Inner<T> {
     /// the queue).
     fn note_pop(&self, first: u64, n: usize) {
         self.popped.add(n as u64);
-        let e = self.ring.enqueue_head.0.load(Ordering::SeqCst);
+        let e = self.ring.enqueue_head.0.load(Ordering::SeqCst) & !CLOSED;
         let len = e.saturating_sub(first + n as u64).min(self.capacity as u64);
         self.depth.set(len as i64);
     }
@@ -689,6 +712,7 @@ impl<T> BoundedQueue<T> {
     /// Panics if `capacity == 0`.
     pub fn with_start_index(name: impl Into<String>, capacity: usize, start: u64) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
+        assert!(start < CLOSED, "start index collides with the closed bit");
         BoundedQueue {
             inner: Arc::new(Inner {
                 ring: Ring::new(capacity, start),
@@ -699,7 +723,6 @@ impl<T> BoundedQueue<T> {
                 pop_wake_pending: AtomicBool::new(false),
                 push_sleepers: AtomicUsize::new(0),
                 capacity,
-                closed: AtomicBool::new(false),
                 name: name.into(),
                 pushed: Counter::new(),
                 popped: Counter::new(),
@@ -734,19 +757,20 @@ impl<T> BoundedQueue<T> {
 
     /// Whether [`BoundedQueue::close`] has been called.
     pub fn is_closed(&self) -> bool {
-        self.inner.closed.load(Ordering::SeqCst)
+        self.inner.ring.is_closed()
     }
 
     /// Closes the queue: subsequent pushes fail, pops drain remaining
     /// items and then report [`PopError::Closed`]. All waiters wake.
     ///
-    /// The store-then-lock-then-notify order is load-bearing: a thread
-    /// that read `closed == false` during its under-lock park re-check
-    /// is either still holding the slow-path lock (so this call's
-    /// `notify_all` happens after it releases into the wait) or already
-    /// parked — either way it receives the wake and re-checks the flag.
+    /// The set-then-lock-then-notify order is load-bearing: a thread
+    /// that read "open" during its under-lock park re-check is either
+    /// still holding the slow-path lock (so this call's `notify_all`
+    /// happens after it releases into the wait) or already parked —
+    /// either way it receives the wake and re-checks the flag. The flag
+    /// is the ring's closed bit, so no push can claim after it is set.
     pub fn close(&self) {
-        self.inner.closed.store(true, Ordering::SeqCst);
+        self.inner.ring.close();
         let _guard = self.inner.waiters.lock();
         self.inner.not_empty.notify_all();
         self.inner.not_full.notify_all();
@@ -795,7 +819,7 @@ impl<T> BoundedQueue<T> {
         let inner = &*self.inner;
         let mut guard = inner.waiters.lock();
         inner.pop_sleepers.fetch_add(1, Ordering::SeqCst);
-        if inner.ring.pop_ready() || inner.closed.load(Ordering::SeqCst) {
+        if inner.ring.pop_ready() || inner.ring.is_closed() {
             inner.pop_sleepers.fetch_sub(1, Ordering::SeqCst);
             return false;
         }
@@ -826,7 +850,7 @@ impl<T> BoundedQueue<T> {
         let inner = &*self.inner;
         let mut guard = inner.waiters.lock();
         inner.push_sleepers.fetch_add(1, Ordering::SeqCst);
-        if inner.ring.push_ready() || inner.closed.load(Ordering::SeqCst) {
+        if inner.ring.push_ready() || inner.ring.is_closed() {
             inner.push_sleepers.fetch_sub(1, Ordering::SeqCst);
             return;
         }
@@ -1037,6 +1061,7 @@ impl<T> BoundedQueue<T> {
                 self.inner.wake_consumers();
                 Ok(())
             }
+            None if self.is_closed() => Err(PushError::Closed(item)),
             None => {
                 // A rejected non-blocking push is the try-path's
                 // equivalent of a blocked push: count it so backpressure
@@ -1185,7 +1210,7 @@ impl<T> BoundedQueue<T> {
         max: usize,
         timeout: Duration,
     ) -> Result<usize, PopError> {
-        self.pop_wait_all_impl(buf, max, timeout, None)
+        self.pop_wait_all_impl(buf, max, Some(timeout), None)
     }
 
     /// Blocking bulk pop; wait time is charged to `handle` as `Waiting`.
@@ -1201,14 +1226,33 @@ impl<T> BoundedQueue<T> {
         timeout: Duration,
         handle: &ThreadHandle,
     ) -> Result<usize, PopError> {
-        self.pop_wait_all_impl(buf, max, timeout, Some(handle))
+        self.pop_wait_all_impl(buf, max, Some(timeout), Some(handle))
+    }
+
+    /// Blocking bulk pop with no timeout: parks until the queue is
+    /// non-empty or closed, then drains up to `max` items like
+    /// [`BoundedQueue::pop_wait_all`]. For a consumer whose producers
+    /// are its only wake source; wait time is charged to `handle` as
+    /// `Waiting`.
+    ///
+    /// # Errors
+    ///
+    /// [`PopError::Closed`] when closed and drained ([`PopError::Empty`]
+    /// only for `max == 0`).
+    pub fn pop_all_with(
+        &self,
+        buf: &mut Vec<T>,
+        max: usize,
+        handle: &ThreadHandle,
+    ) -> Result<usize, PopError> {
+        self.pop_wait_all_impl(buf, max, None, Some(handle))
     }
 
     fn pop_wait_all_impl(
         &self,
         buf: &mut Vec<T>,
         max: usize,
-        timeout: Duration,
+        timeout: Option<Duration>,
         handle: Option<&ThreadHandle>,
     ) -> Result<usize, PopError> {
         if max == 0 {
@@ -1232,8 +1276,8 @@ impl<T> BoundedQueue<T> {
             if wait_guard.is_none() {
                 wait_guard = handle.map(|h| h.enter(ThreadState::Waiting));
             }
-            let dl = *deadline.get_or_insert_with(|| Instant::now() + timeout);
-            if self.park_pop(Some(dl), &mut counted) {
+            let dl = *deadline.get_or_insert_with(|| timeout.map(|t| Instant::now() + t));
+            if self.park_pop(dl, &mut counted) {
                 // Timed out: one final claim so a just-published burst
                 // is not reported as Empty.
                 if let Some((first, n)) = self.inner.ring.claim_pop_committed(max) {
@@ -1546,6 +1590,14 @@ mod tests {
         let q = BoundedQueue::new("t", 4);
         let q2 = q.clone();
         let h = thread::spawn(move || q2.push_many(0..10).unwrap());
+        // Pop nothing until the pusher has parked: a consumer that keeps
+        // up from the start can let the push finish without ever
+        // waiting.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while q.stats().push_waits == 0 {
+            assert!(std::time::Instant::now() < deadline, "pusher never parked");
+            thread::yield_now();
+        }
         let mut got = Vec::new();
         while got.len() < 10 {
             match q.pop_timeout(Duration::from_secs(5)) {
@@ -1740,8 +1792,8 @@ mod tests {
     /// Loom-style stress (plain threads): close racing with scalar and
     /// bulk waiters on both the empty and the full side. Every waiter
     /// must wake and observe `Closed`; none may hang. This is the
-    /// ordering the `closed` AtomicBool + store-then-lock-then-notify
-    /// handshake in `close` guarantees.
+    /// ordering the closed bit + set-then-lock-then-notify handshake in
+    /// `close` guarantees.
     #[test]
     fn close_vs_waiters_stress() {
         for _ in 0..100 {
@@ -1865,7 +1917,10 @@ mod tests {
     /// (returned `Ok` or not in the handed-back remainder) must be
     /// drained by the consumers before they observe `Closed` — items a
     /// producer had *claimed* but not yet published at close time
-    /// included. Conservation proves no accepted item is stranded.
+    /// included. Conservation proves no accepted item is stranded. A
+    /// closed flag kept apart from `enqueue_head` (a push that reads
+    /// "open" can claim after the consumers have left) fails this within
+    /// a second at `SMR_STRESS_ITERS=20000`.
     #[test]
     fn close_drains_in_flight_bulk_pushes() {
         let rounds = stress_iters(200);
