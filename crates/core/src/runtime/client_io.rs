@@ -21,11 +21,11 @@ use std::time::Duration;
 use smr_metrics::ThreadState;
 use smr_net::{ClientConn, ClientListener};
 use smr_queue::{PopError, PushError};
-use smr_wire::{ClientMsg, Codec, Reply, Request};
+use smr_wire::{ClientMsg, Codec, Reply};
 
 use crate::reply_cache::CacheOutcome;
 
-use super::Ctx;
+use super::{Ctx, Intake};
 
 /// Token reserved for the cross-thread waker; connection tokens are slab
 /// indices, which can never reach it.
@@ -190,7 +190,7 @@ struct EvConn {
     needs_flush: bool,
     /// A stamped request awaiting RequestQueue space (§V-E). While
     /// present the connection is not read.
-    pending: Option<(Request, u64)>,
+    pending: Option<Intake>,
     /// Encoded reply frames that did not fit the transport's outbound
     /// buffer, drained ahead of new replies to preserve order.
     overflow: VecDeque<Vec<u8>>,
@@ -579,7 +579,7 @@ enum FrameAction {
     Continue,
     /// The RequestQueue is full (§V-E): hold the stamped request and stop
     /// reading this connection until it fits.
-    Park((Request, u64)),
+    Park(Intake),
     /// Drop the connection (undecodable frame, non-request message, or
     /// closed RequestQueue).
     Drop,
@@ -614,7 +614,7 @@ fn classify_frame(ctx: &Ctx, index: usize, conn_id: u64, frame: &[u8]) -> FrameA
     // Remember how to route the reply back (§V-D hand-over).
     ctx.shared.bind_client(request.id.client, index, conn_id);
     let stamp = ctx.stage.stamp(&ctx.shared);
-    match ctx.request_q.try_push((request, stamp)) {
+    match ctx.request_q.try_push(Intake::Request(request, stamp)) {
         Ok(()) => FrameAction::Continue,
         Err(PushError::Full(pending)) => FrameAction::Park(pending),
         Err(PushError::Closed(_)) => FrameAction::Drop,

@@ -69,10 +69,91 @@ impl ProposalToken {
     }
 }
 
+/// One item on the RequestQueue, the Batcher's only wake source.
+#[derive(Debug)]
+pub(crate) enum Intake {
+    /// A client request and its intake stamp (0 when stage metrics are
+    /// off).
+    Request(Request, u64),
+    /// The leader has nothing in flight: seal the open batch (see
+    /// [`SealDemand`]).
+    Seal,
+}
+
+/// The Protocol thread's demand for the open batch: Nagle's rule for the
+/// ordering pipeline, so a batch holds the requests that arrive during
+/// one consensus round trip. The Protocol thread raises it after each
+/// ProposalQueue drain while its window is open with nothing in flight,
+/// and lowers it otherwise. The Batcher takes it at the end of a drain
+/// with a batch open, and lowers it before every ProposalQueue push, so
+/// a demand raised after that push is not lost.
+///
+/// Before it blocks with a batch open, the Batcher stores `batch_open`,
+/// fences and re-checks the demand; raising the demand from down, the
+/// Protocol thread fences and checks `batch_open`, and posts one
+/// [`Intake::Seal`] if it is set. One of the two sees the other's
+/// store, so a raise never leaves an open batch to its timeout.
+#[derive(Debug, Default)]
+pub(crate) struct SealDemand {
+    demand: AtomicBool,
+    batch_open: AtomicBool,
+}
+
+impl SealDemand {
+    /// Protocol side, after each ProposalQueue drain: `idle` is "window
+    /// open and nothing in flight". A full RequestQueue needs no `Seal`
+    /// (the Batcher has work and checks the demand when its drain ends).
+    /// `Err(())` once the queue has closed.
+    pub(crate) fn update(&self, idle: bool, request_q: &BoundedQueue<Intake>) -> Result<(), ()> {
+        if !idle {
+            self.demand.store(false, Ordering::SeqCst);
+            return Ok(());
+        }
+        if self.demand.swap(true, Ordering::SeqCst) {
+            return Ok(());
+        }
+        fence(Ordering::SeqCst);
+        if !self.batch_open.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        match request_q.try_push(Intake::Seal) {
+            Ok(()) | Err(PushError::Full(_)) => Ok(()),
+            Err(PushError::Closed(_)) => Err(()),
+        }
+    }
+
+    /// Batcher side, with a batch open: whether to seal it now. Takes
+    /// (lowers) the demand.
+    pub(crate) fn take(&self) -> bool {
+        self.demand.swap(false, Ordering::SeqCst)
+    }
+
+    /// Batcher side, before every ProposalQueue push.
+    pub(crate) fn lower(&self) {
+        self.demand.store(false, Ordering::SeqCst);
+    }
+
+    /// Batcher side, just before it blocks: publishes whether a batch is
+    /// open and, if one is, whether a demand is up after all.
+    pub(crate) fn park(&self, open: bool) -> bool {
+        self.batch_open.store(open, Ordering::SeqCst);
+        if !open {
+            return false;
+        }
+        fence(Ordering::SeqCst);
+        self.demand.load(Ordering::SeqCst)
+    }
+}
+
 /// The Batcher thread (§V-C1): drains the RequestQueue into batches
 /// according to the batching policy and feeds the ProposalQueue. Bursts
 /// move under one RequestQueue lock acquisition, and every batch they
 /// complete is handed to the ProposalQueue in one bulk push.
+///
+/// A batch closes when it reaches `BSZ`; else when the Protocol thread
+/// demands it ([`SealDemand`]: the leader has nothing in flight); else
+/// when its timeout expires. The `batcher.sealed_{size,demand,timeout}`
+/// counters record which rule closed each batch.
 ///
 /// Each request arrives paired with its intake stamp; the stamp of the
 /// request that *opens* a batch becomes the batch's intake time, and
@@ -85,8 +166,11 @@ impl ProposalToken {
 /// holding requests parked on the full RequestQueue.
 pub(crate) fn run_batcher(ctx: &Ctx) {
     let handle = ctx.metrics.register_thread("Batcher");
+    let sealed_size = ctx.metrics.counter("batcher.sealed_size");
+    let sealed_demand = ctx.metrics.counter("batcher.sealed_demand");
+    let sealed_timeout = ctx.metrics.counter("batcher.sealed_timeout");
     let mut builder = BatchBuilder::new(ctx.config.batch());
-    let mut burst: Vec<(Request, u64)> = Vec::new();
+    let mut burst: Vec<Intake> = Vec::new();
     let mut completed: Vec<(Batch, BatchStamp)> = Vec::new();
     // Intake stamp of the batch currently open in the builder.
     let mut open_intake = 0u64;
@@ -117,11 +201,15 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
                     }
                 }
                 let now = ctx.shared.now_ns();
-                for (req, intake_ns) in burst.drain(..) {
+                for item in burst.drain(..) {
+                    let Intake::Request(req, intake_ns) = item else {
+                        continue; // Seal: a wake; the demand is taken below
+                    };
                     if builder.pending_len() == 0 {
                         open_intake = intake_ns;
                     }
                     if let Some(batch) = builder.push(req, now) {
+                        sealed_size.inc();
                         completed.push((
                             batch,
                             BatchStamp {
@@ -137,36 +225,48 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
                         }
                     }
                 }
-                if !completed.is_empty() {
-                    for (_, stamp) in &completed {
-                        ctx.stage.record_sealed(*stamp);
-                    }
-                    if ctx
-                        .proposal_q
-                        .push_many_with(completed.drain(..), &handle)
-                        .is_err()
-                        || ctx.proposal_ready.post(&ctx.dispatcher_q).is_err()
-                    {
-                        return;
-                    }
-                }
             }
-            Err(PopError::Empty) => {
-                let now = ctx.shared.now_ns();
-                if let Some(batch) = builder.poll_timeout(now) {
-                    let stamp = BatchStamp {
-                        intake_ns: open_intake,
-                        sealed_ns: now,
-                    };
-                    ctx.stage.record_sealed(stamp);
-                    if ctx.proposal_q.push_with((batch, stamp), &handle).is_err()
-                        || ctx.proposal_ready.post(&ctx.dispatcher_q).is_err()
-                    {
-                        return;
-                    }
-                }
-            }
+            Err(PopError::Empty) => {}
             Err(PopError::Closed) => return,
+        }
+        loop {
+            let now = ctx.shared.now_ns();
+            let partial = if builder.pending_len() > 0 && ctx.seal_demand.take() {
+                sealed_demand.inc();
+                builder.flush()
+            } else {
+                let batch = builder.poll_timeout(now);
+                if batch.is_some() {
+                    sealed_timeout.inc();
+                }
+                batch
+            };
+            if let Some(batch) = partial {
+                let stamp = BatchStamp {
+                    intake_ns: open_intake,
+                    sealed_ns: now,
+                };
+                completed.push((batch, stamp));
+            }
+            if !completed.is_empty() {
+                ctx.seal_demand.lower();
+                for (_, stamp) in &completed {
+                    ctx.stage.record_sealed(*stamp);
+                }
+                if ctx
+                    .proposal_q
+                    .push_many_with(completed.drain(..), &handle)
+                    .is_err()
+                    || ctx.proposal_ready.post(&ctx.dispatcher_q).is_err()
+                {
+                    return;
+                }
+            }
+            // A demand raised since the take above is seen here or
+            // posts a Seal that ends the coming block.
+            if !ctx.seal_demand.park(builder.pending_len() > 0) {
+                break;
+            }
         }
     }
 }
@@ -175,9 +275,14 @@ pub(crate) fn run_batcher(ctx: &Ctx) {
 /// pure Paxos state machine. Owns the log; everything it publishes goes
 /// through queues or the shared atomics. It blocks only on the
 /// DispatcherQueue, until the next tick at the latest; the Batcher's
-/// [`ProposalToken`] wakes it for proposals.
+/// [`ProposalToken`] wakes it for proposals. After each proposal drain
+/// it updates the Batcher's [`SealDemand`].
 pub(crate) fn run_protocol(ctx: &Ctx) {
     let handle = ctx.metrics.register_thread("Protocol");
+    // Catch-up queries for compacted history no snapshot covers: the
+    // asker is stranded behind this replica's `KeepSlots` horizon.
+    let unserved = ctx.metrics.counter("protocol.catchup_unserved");
+    let mut unserved_seen = 0;
     let mut core = PaxosReplica::new(ctx.me, ctx.config.clone());
     core.set_compaction(ctx.compaction);
     let mut actions = Vec::new();
@@ -267,6 +372,15 @@ pub(crate) fn run_protocol(ctx: &Ctx) {
                 Err(PopError::Closed) => return,
             }
         }
+        // With the window open and nothing in flight, the open batch
+        // would only wait out its timeout: demand it now.
+        if ctx
+            .seal_demand
+            .update(core.window_open() && core.in_flight() == 0, &ctx.request_q)
+            .is_err()
+        {
+            return;
+        }
         // Drain the DispatcherQueue in bulk between window checks: one
         // lock acquisition moves the whole burst of peer messages.
         match ctx.dispatcher_q.pop_wait_all_with(
@@ -301,6 +415,8 @@ pub(crate) fn run_protocol(ctx: &Ctx) {
                         return;
                     }
                 }
+                unserved.add(core.unserved_catchups() - unserved_seen);
+                unserved_seen = core.unserved_catchups();
                 publish(ctx, &core);
             }
             Err(PopError::Empty) => {}
@@ -587,6 +703,88 @@ mod tests {
         assert_eq!(got, N);
         producer.join().unwrap();
         consumer.join().unwrap();
+    }
+
+    /// Lost-wake stress for the seal demand. Each round the Protocol side
+    /// pushes a request, raises the demand at a random moment, waits for
+    /// the sealed batch, then lowers the demand (a proposal is in
+    /// flight). The Batcher side follows the Batcher's rule: a drained
+    /// request opens a batch; it takes the demand with a batch open,
+    /// publishes whether one stays open and re-checks before blocking on
+    /// the RequestQueue with *no* timeout. Every raise must lead to a
+    /// seal; the channel timeout is only a hang guard.
+    #[test]
+    fn seal_demand_loses_no_wake() {
+        const N: u64 = 50_000;
+        let requests: BoundedQueue<Intake> = BoundedQueue::new("RequestQueue", 4);
+        let proposals: BoundedQueue<u64> = BoundedQueue::new("ProposalQueue", 4);
+        let demand = std::sync::Arc::new(SealDemand::default());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let batcher = {
+            let (requests, proposals, demand) =
+                (requests.clone(), proposals.clone(), demand.clone());
+            std::thread::spawn(move || {
+                let handle = MetricsRegistry::new().register_thread("Batcher");
+                let mut rng = Xorshift(0x2545_F491_4F6C_DD1D);
+                let mut wakes = Vec::new();
+                let mut open = false;
+                let mut sealed = 0u64;
+                loop {
+                    wakes.clear();
+                    if requests.pop_all_with(&mut wakes, 16, &handle).is_err() {
+                        return; // closed: the Protocol side is done
+                    }
+                    open |= wakes.iter().any(|w| matches!(w, Intake::Request(..)));
+                    loop {
+                        if open && demand.take() {
+                            open = false;
+                            if proposals.push(sealed).is_err() {
+                                return;
+                            }
+                            sealed += 1;
+                        }
+                        // Widen the gap between the take and the block: a
+                        // raise here must still end the block.
+                        if rng.next() % 4 == 0 {
+                            std::thread::yield_now();
+                        }
+                        if !demand.park(open) {
+                            break;
+                        }
+                    }
+                }
+            })
+        };
+        // Mostly no pause, some yields, a few sleeps long enough for the
+        // Batcher to block. The Protocol side runs on its own thread so a
+        // hang cannot hold up the guard.
+        let protocol = {
+            let (requests, proposals) = (requests.clone(), proposals.clone());
+            std::thread::spawn(move || {
+                let mut rng = Xorshift(0x9E37_79B9_7F4A_7C15);
+                for i in 0..N {
+                    let req = Request::new(rid(i), Vec::new());
+                    requests.push(Intake::Request(req, 0)).unwrap();
+                    match rng.next() % 256 {
+                        0 => std::thread::sleep(Duration::from_micros(50)),
+                        1..=63 => std::thread::yield_now(),
+                        _ => {}
+                    }
+                    demand.update(true, &requests).unwrap();
+                    assert_eq!(proposals.pop().unwrap(), i, "one seal per raise");
+                    demand.update(false, &requests).unwrap();
+                }
+                done_tx.send(N).unwrap();
+            })
+        };
+        let got = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("demand raised with a batch open and no seal: a wake was lost");
+        assert_eq!(got, N);
+        protocol.join().unwrap();
+        requests.close();
+        proposals.close();
+        batcher.join().unwrap();
     }
 
     /// Regression for the pending-clocks leak: entries whose slot the

@@ -23,7 +23,7 @@ use smr_storage::Storage;
 use smr_types::{
     ClusterConfig, CompactionPolicy, ConfigError, ReplicaId, Slot, SmrError, SnapshotBlob,
 };
-use smr_wire::{Batch, ProtocolMsg, Reply, Request};
+use smr_wire::{Batch, ProtocolMsg, Reply};
 
 use stage::{BatchStamp, StageClock, StageMetrics};
 
@@ -36,7 +36,7 @@ use crate::shared::SharedState;
 
 pub use client_io::EventedIoOptions;
 use client_io::IoWaker;
-use core_threads::{Dispatch, ProposalToken};
+use core_threads::{Dispatch, Intake, ProposalToken, SealDemand};
 pub(crate) use service_manager::SnapshotRig;
 
 /// How the ServiceManager executes decided commands.
@@ -143,9 +143,12 @@ pub(crate) struct Ctx {
     /// The slot-lifecycle latency instrumentation (see [`stage`]).
     pub stage: StageMetrics,
     pub shutdown: AtomicBool,
-    /// Requests paired with their intake stamp (0 when stage metrics are
-    /// off).
-    pub request_q: BoundedQueue<(Request, u64)>,
+    /// Requests paired with their intake stamp, and the Protocol
+    /// thread's seal wakes.
+    pub request_q: BoundedQueue<Intake>,
+    /// The Protocol thread's "nothing in flight, seal the open batch"
+    /// demand (see [`SealDemand`]).
+    pub seal_demand: SealDemand,
     /// Sealed batches paired with their intake/sealed stamps.
     pub proposal_q: BoundedQueue<(Batch, BatchStamp)>,
     /// The Batcher's "ProposalQueue is non-empty" token (see
@@ -245,7 +248,7 @@ impl ReplicaBuilder {
             cache: None,
             durability: None,
             compaction: None,
-            snapshot_every: 1024,
+            snapshot_every: 16_384,
             stage_metrics: true,
             metrics_dump: None,
             queue_sampler: None,
@@ -327,9 +330,10 @@ impl ReplicaBuilder {
         self
     }
 
-    /// Takes a snapshot every `n` applied slots (optional; default
-    /// 1024). Clamped to at least 1; only meaningful for
-    /// snapshot-capable services.
+    /// Takes a snapshot every `n` applied requests (optional; default
+    /// 16,384). Counting requests rather than slots keeps the cadence
+    /// independent of how full batches are. Clamped to at least 1; only
+    /// meaningful for snapshot-capable services.
     pub fn with_snapshot_every(mut self, n: u64) -> Self {
         self.snapshot_every = n.max(1);
         self
@@ -508,7 +512,7 @@ impl ReplicaBuilder {
             let mut r = SnapshotRig {
                 storage: None,
                 watermark: Slot::ZERO,
-                last_snapshot: Slot::ZERO,
+                since_snapshot: 0,
                 every: self.snapshot_every,
             };
             if let Some(dir) = &self.durability {
@@ -536,6 +540,7 @@ impl ReplicaBuilder {
             request_q: BoundedQueue::new("RequestQueue", config.request_queue_capacity()),
             proposal_q: BoundedQueue::new("ProposalQueue", config.proposal_queue_capacity()),
             proposal_ready: ProposalToken::default(),
+            seal_demand: SealDemand::default(),
             dispatcher_q: BoundedQueue::new("DispatcherQueue", config.dispatcher_queue_capacity()),
             decision_q: BoundedQueue::new("DecisionQueue", config.decision_queue_capacity()),
             send_qs: (0..n)
@@ -782,7 +787,6 @@ fn recover(
             _ => unreachable!("durability requires a snapshot-capable service"),
         }
         rig.watermark = snap.applied_upto;
-        rig.last_snapshot = snap.applied_upto;
         blob = Some(Arc::new(snap));
     }
     for (slot, batch) in recovered.tail {
@@ -800,7 +804,8 @@ fn recover(
         }
         rig.watermark = slot.next();
     }
-    if rig.watermark > rig.last_snapshot {
+    let last_snapshot = blob.as_ref().map_or(Slot::ZERO, |b| b.applied_upto);
+    if rig.watermark > last_snapshot {
         // Replay advanced past the snapshot on disk: checkpoint here so
         // recovery work is not repeated (and the old log is pruned).
         let (state_hash, state) = match service {
@@ -819,7 +824,6 @@ fn recover(
         storage
             .install_snapshot(&fresh)
             .map_err(|e| bad(e.to_string()))?;
-        rig.last_snapshot = rig.watermark;
         blob = Some(Arc::new(fresh));
     }
     rig.storage = Some(storage);

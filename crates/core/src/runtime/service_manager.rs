@@ -26,7 +26,8 @@ const COMPLETION_POLL: Duration = Duration::from_millis(1);
 
 /// The durability/snapshot harness a snapshot-capable ServiceManager
 /// carries: the (optional) on-disk storage, the apply watermark (next
-/// slot to execute), and the snapshot cadence.
+/// slot to execute), and the snapshot cadence, counted in applied
+/// requests so it does not depend on how full batches are.
 pub(crate) struct SnapshotRig {
     /// On-disk log + snapshots; `None` when the service is
     /// snapshot-capable but durability was not requested (snapshots then
@@ -35,20 +36,22 @@ pub(crate) struct SnapshotRig {
     /// Next slot this replica will apply (everything below is covered by
     /// executed batches or an installed snapshot).
     pub watermark: Slot,
-    /// Watermark of the most recent snapshot taken or installed.
-    pub last_snapshot: Slot,
-    /// Take a snapshot every this many applied slots.
+    /// Requests applied since the most recent snapshot taken or
+    /// installed.
+    pub since_snapshot: u64,
+    /// Take a snapshot every this many applied requests.
     pub every: u64,
 }
 
 impl SnapshotRig {
-    /// Whether enough slots have been applied since the last snapshot.
+    /// Whether enough requests have been applied since the last
+    /// snapshot.
     fn snapshot_due(&self) -> bool {
-        self.watermark.0.saturating_sub(self.last_snapshot.0) >= self.every
+        self.since_snapshot >= self.every
     }
 
-    /// Persists (when durable) and publishes `blob`, advancing
-    /// `last_snapshot`. Returns `false` on a storage error, which is
+    /// Persists (when durable) and publishes `blob`, restarting the
+    /// cadence. Returns `false` on a storage error, which is
     /// fatal for the manager thread.
     fn commit_snapshot(&mut self, ctx: &Ctx, blob: SnapshotBlob) -> bool {
         let blob = Arc::new(blob);
@@ -58,7 +61,7 @@ impl SnapshotRig {
                 return false;
             }
         }
-        self.last_snapshot = blob.applied_upto;
+        self.since_snapshot = 0;
         ctx.snapshots.publish(blob);
         true
     }
@@ -109,7 +112,7 @@ pub(crate) fn run_service_manager(ctx: &Ctx, mut service: Box<dyn Service>) {
 /// The snapshot-capable sequential "Replica" thread: the same log-order
 /// execution as [`run_service_manager`] plus the durability protocol —
 /// append to the WAL *before* executing, sync once per drained burst,
-/// snapshot every `rig.every` applied slots, and install snapshots
+/// snapshot every `rig.every` applied requests, and install snapshots
 /// shipped by peers (replacing local state wholesale).
 pub(crate) fn run_durable_service_manager(
     ctx: &Ctx,
@@ -171,6 +174,7 @@ pub(crate) fn run_durable_service_manager(
                             .record_wal_append(t0, ctx.stage.stamp(&ctx.shared));
                         appended = true;
                     }
+                    rig.since_snapshot += batch.len() as u64;
                     execute_batch(ctx, service.as_mut(), batch, &mut replies);
                     rig.watermark = slot.next();
                     let executed_ns = clock.map_or(0, |_| ctx.shared.now_ns());
@@ -344,6 +348,7 @@ pub(crate) fn run_durable_parallel_service_manager(
                         appended = true;
                     }
                     clocks.track(&batch, clock);
+                    rig.since_snapshot += batch.len() as u64;
                     for request in batch.requests {
                         exec.submit(request);
                     }

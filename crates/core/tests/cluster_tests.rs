@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use smr_core::{InProcessCluster, KvService, NullService, SequencerService};
-use smr_types::{ClusterConfig, ReplicaId};
+use smr_types::{ClusterConfig, CompactionPolicy, ReplicaId};
 
 fn small_config(n: usize) -> ClusterConfig {
     ClusterConfig::builder(n)
@@ -129,19 +129,18 @@ fn minority_crash_does_not_block_n5() {
     cluster.shutdown();
 }
 
-#[test]
-fn healed_replica_catches_up() {
-    let cluster = InProcessCluster::start(small_config(3), |_| Box::new(NullService::new(8)));
+/// Partitions replica 2 away, pushes 30 requests through the other two,
+/// heals it, and waits for it to catch up (driven by heartbeats and
+/// catch-up queries).
+fn crash_run_heal_catch_up(cluster: &InProcessCluster) {
     let mut client = cluster.client();
     client.execute(b"w").unwrap();
-    // Partition replica 2 away, then push traffic through the other two.
     cluster.crash(ReplicaId(2));
     for _ in 0..30 {
         client.execute(&[2u8; 64]).unwrap();
     }
     let frontier_leader = cluster.replica(ReplicaId(0)).shared().decided_upto();
     assert!(frontier_leader.0 > 0);
-    // Heal and wait for catch-up (driven by heartbeats + catch-up query).
     cluster.heal(ReplicaId(2));
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
@@ -155,6 +154,38 @@ fn healed_replica_catches_up() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
+}
+
+#[test]
+fn healed_replica_catches_up() {
+    let cluster = InProcessCluster::start(small_config(3), |_| Box::new(NullService::new(8)));
+    crash_run_heal_catch_up(&cluster);
+    cluster.shutdown();
+}
+
+/// A follower cut off while the leader compacts with a short
+/// `KeepSlots` horizon must still catch up by slots: the leader keeps
+/// the history a recently heard follower needs.
+#[test]
+fn follower_behind_keep_slots_horizon_catches_up() {
+    // The cut-off follower pins the leader's log only while it was heard
+    // within the suspect timeout; a long one keeps the pin for the whole
+    // run on a slow host (and keeps the follower from electing itself).
+    let config = ClusterConfig::builder(3)
+        .heartbeat_interval(Duration::from_millis(40))
+        .suspect_timeout(Duration::from_secs(2))
+        .build()
+        .unwrap();
+    let cluster = InProcessCluster::start_with(config, |_, b| {
+        b.with_service(Box::new(NullService::new(8)))
+            .with_compaction(CompactionPolicy::KeepSlots(8))
+    });
+    crash_run_heal_catch_up(&cluster);
+    let unserved = cluster
+        .replica(ReplicaId(0))
+        .metrics_snapshot()
+        .counter("protocol.catchup_unserved");
+    assert_eq!(unserved, Some(0));
     cluster.shutdown();
 }
 

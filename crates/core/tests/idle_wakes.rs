@@ -1,23 +1,27 @@
 //! Wake budget of an idle replica: with no clients, every stage thread
 //! blocks on its one wake source, so the only wakes left are the
-//! Protocol thread's 25 ms tick and the peer heartbeats it receives.
+//! Protocol thread's 25 ms tick and the peer heartbeats it receives;
+//! the Batcher gets no seal wakes.
 //! Counts only — no latency is asserted.
 
 use std::time::{Duration, Instant};
 
 use smr_core::{InProcessCluster, NullService};
-use smr_metrics::MetricsSnapshot;
+use smr_metrics::{MetricsSnapshot, QueueSnapshot};
 use smr_types::ClusterConfig;
 
 /// Protocol tick period (`core_threads.rs`).
 const TICK: Duration = Duration::from_millis(25);
 
-fn queue_pop_waits(snap: &MetricsSnapshot, name: &str) -> u64 {
+fn queue<'a>(snap: &'a MetricsSnapshot, name: &str) -> &'a QueueSnapshot {
     snap.queues
         .iter()
         .find(|q| q.name == name)
         .unwrap_or_else(|| panic!("queue {name} is registered"))
-        .pop_waits
+}
+
+fn queue_pop_waits(snap: &MetricsSnapshot, name: &str) -> u64 {
+    queue(snap, name).pop_waits
 }
 
 #[test]
@@ -68,6 +72,10 @@ fn idle_replica_stays_within_its_wake_budget() {
         // The Batcher is the RequestQueue's only consumer.
         let batcher = queue_pop_waits(a, "RequestQueue") - queue_pop_waits(b, "RequestQueue");
         assert!(batcher <= 2, "replica {id}: Batcher parked {batcher} times");
+        // With no clients, every RequestQueue push would be the Protocol
+        // thread's `Seal`: an idle leader has no open batch to seal.
+        let seals = queue(a, "RequestQueue").pushed - queue(b, "RequestQueue").pushed;
+        assert_eq!(seals, 0, "replica {id}: {seals} seal wakes while idle");
         let polls =
             a.counter("client_io.polls").unwrap_or(0) - b.counter("client_io.polls").unwrap_or(0);
         assert!(

@@ -19,6 +19,17 @@ pub enum ReplicaRole {
     Leading,
 }
 
+/// What the leader knows of one follower for `KeepSlots` retention.
+#[derive(Debug, Clone, Copy, Default)]
+struct PeerFrontier {
+    /// The follower's first undecided slot, as last reported by its
+    /// `Accept`s and catch-up queries (slot 0 until it reports).
+    at: Slot,
+    /// Since when it has owed a reply to a proposal (`None` once it
+    /// answers).
+    owed_since: Option<u64>,
+}
+
 /// Maximum slots per catch-up query/reply, bounding message size.
 const CATCHUP_CHUNK: u64 = 256;
 
@@ -53,6 +64,15 @@ pub struct PaxosReplica {
     catchup_inflight: Option<(Slot, u64)>,
     /// Highest `decided_upto` heard from each replica.
     peer_decided_upto: Vec<Slot>,
+    /// Per peer: under [`CompactionPolicy::KeepSlots`] a leader keeps
+    /// the log down to the frontier of every follower that has not owed
+    /// it a reply for longer than the suspect timeout, so a follower cut
+    /// off for a while can still catch up by slots.
+    peer_frontier: Vec<PeerFrontier>,
+    /// Newest `now_ns` seen by [`PaxosReplica::handle`].
+    now_ns: u64,
+    /// Catch-up queries for compacted history no snapshot covers.
+    unserved_catchups: u64,
     /// When delivered slots are garbage collected.
     policy: CompactionPolicy,
     /// First slot NOT covered by the newest service snapshot (exclusive).
@@ -88,6 +108,9 @@ impl PaxosReplica {
             dropped_proposals: 0,
             catchup_inflight: None,
             peer_decided_upto: vec![Slot::ZERO; n],
+            peer_frontier: vec![PeerFrontier::default(); n],
+            now_ns: 0,
+            unserved_catchups: 0,
             // Historical default: bounded slot retention. Snapshot-capable
             // runtimes switch to `SnapshotDriven` via `set_compaction`.
             policy: CompactionPolicy::KeepSlots(4096),
@@ -160,6 +183,12 @@ impl PaxosReplica {
         self.dropped_proposals
     }
 
+    /// Catch-up queries this replica could not serve: the asked-for
+    /// slots were compacted and no snapshot covers them.
+    pub fn unserved_catchups(&self) -> u64 {
+        self.unserved_catchups
+    }
+
     /// Read access to the log (tests, catch-up serving, snapshots).
     pub fn log(&self) -> &Log {
         &self.log
@@ -215,7 +244,8 @@ impl PaxosReplica {
             CompactionPolicy::KeepAll => {}
             CompactionPolicy::KeepSlots(n) => {
                 let keep_from = Slot(self.log.first_gap().0.saturating_sub(n));
-                self.log.truncate_below(keep_from);
+                self.log
+                    .truncate_below(keep_from.min(self.live_follower_frontier()));
             }
             CompactionPolicy::SnapshotDriven => {
                 // Never drop history a snapshot does not cover: before the
@@ -225,11 +255,46 @@ impl PaxosReplica {
         }
     }
 
+    /// On a leader, the lowest frontier among followers that have owed
+    /// it a reply for at most the suspect timeout: history they may still
+    /// fetch from us. A follower silent for longer while proposals go out,
+    /// or already behind the compacted prefix (beyond help from slot
+    /// catch-up), pins nothing; neither does anyone on a follower.
+    fn live_follower_frontier(&self) -> Slot {
+        if self.role != ReplicaRole::Leading {
+            return Slot(u64::MAX);
+        }
+        let window = self.config.suspect_timeout().as_nanos() as u64;
+        let floor = self.log.truncated_below();
+        self.peer_frontier
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != self.me.index())
+            .map(|(_, p)| p)
+            .filter(|p| p.at >= floor)
+            .filter(|p| {
+                p.owed_since
+                    .map_or(true, |t| self.now_ns.saturating_sub(t) <= window)
+            })
+            .map(|p| p.at)
+            .min()
+            .unwrap_or(Slot(u64::MAX))
+    }
+
+    /// A proposal went to every follower: each now owes a reply.
+    fn await_followers(&mut self) {
+        let now = self.now_ns;
+        for p in &mut self.peer_frontier {
+            p.owed_since.get_or_insert(now);
+        }
+    }
+
     /// Processes one event, appending resulting actions to `out`.
     ///
     /// `now_ns` is a monotonic timestamp supplied by the caller (real or
     /// virtual time).
     pub fn handle(&mut self, event: Event, now_ns: u64, out: &mut Vec<Action>) {
+        self.now_ns = self.now_ns.max(now_ns);
         match event {
             Event::Init => self.on_init(out),
             Event::Proposal(batch) => self.on_proposal(batch, out),
@@ -280,6 +345,7 @@ impl PaxosReplica {
         inst.record_vote(self.me, view);
         self.my_inflight.insert(slot);
         let msg = ProtocolMsg::Propose { view, slot, batch };
+        self.await_followers();
         out.push(Action::Send {
             to: Target::All,
             msg: msg.clone(),
@@ -320,6 +386,9 @@ impl PaxosReplica {
         self.role = ReplicaRole::Follower;
         self.my_inflight.clear();
         self.promises.clear();
+        for p in &mut self.peer_frontier {
+            p.owed_since = None;
+        }
         out.push(Action::CancelAllRetransmits);
         out.push(Action::LeaderChanged {
             view,
@@ -423,6 +492,7 @@ impl PaxosReplica {
             inst.record_vote(self.me, view);
             self.my_inflight.insert(slot);
             let msg = ProtocolMsg::Propose { view, slot, batch };
+            self.await_followers();
             out.push(Action::Send {
                 to: Target::All,
                 msg: msg.clone(),
@@ -469,8 +539,18 @@ impl PaxosReplica {
             ProtocolMsg::Propose { view, slot, batch } => {
                 self.on_propose_msg(from, view, slot, batch, now_ns, out)
             }
-            ProtocolMsg::Accept { view, slot } => self.on_accept(from, view, slot, now_ns, out),
-            ProtocolMsg::CatchupQuery { from: lo, to } => self.on_catchup_query(from, lo, to, out),
+            ProtocolMsg::Accept {
+                view,
+                slot,
+                decided_upto,
+            } => {
+                self.note_frontier(from, decided_upto);
+                self.on_accept(from, view, slot, now_ns, out)
+            }
+            ProtocolMsg::CatchupQuery { from: lo, to } => {
+                self.note_frontier(from, lo);
+                self.on_catchup_query(from, lo, to, out)
+            }
             ProtocolMsg::CatchupReply {
                 decided_upto,
                 entries,
@@ -568,7 +648,11 @@ impl PaxosReplica {
             // stop retransmitting.
             out.push(Action::Send {
                 to: Target::One(from),
-                msg: ProtocolMsg::Accept { view, slot },
+                msg: ProtocolMsg::Accept {
+                    view,
+                    slot,
+                    decided_upto: self.log.first_gap(),
+                },
             });
             return;
         }
@@ -581,7 +665,11 @@ impl PaxosReplica {
             );
             out.push(Action::Send {
                 to: Target::One(from),
-                msg: ProtocolMsg::Accept { view, slot },
+                msg: ProtocolMsg::Accept {
+                    view,
+                    slot,
+                    decided_upto: self.log.first_gap(),
+                },
             });
             return;
         }
@@ -592,7 +680,11 @@ impl PaxosReplica {
         inst.record_vote(from, view);
         out.push(Action::Send {
             to: Target::All,
-            msg: ProtocolMsg::Accept { view, slot },
+            msg: ProtocolMsg::Accept {
+                view,
+                slot,
+                decided_upto: self.log.first_gap(),
+            },
         });
         self.try_decide(slot, out);
         // A slot far beyond our decided frontier implies we missed traffic.
@@ -676,10 +768,14 @@ impl PaxosReplica {
         // snapshot covers them: ship state instead of history. The runtime
         // materializes the blob; we still serve whatever retained tail we
         // have so the straggler converges in one round.
-        if lo < self.log.truncated_below() && self.snapshot_watermark > lo {
-            out.push(Action::SendSnapshot {
-                to: Target::One(from),
-            });
+        if lo < self.log.truncated_below() {
+            if self.snapshot_watermark > lo {
+                out.push(Action::SendSnapshot {
+                    to: Target::One(from),
+                });
+            } else {
+                self.unserved_catchups += 1;
+            }
         }
         let to = Slot(to.0.min(lo.0.saturating_add(CATCHUP_CHUNK)));
         let entries = self.log.decided_range(lo, to, CATCHUP_CHUNK as usize);
@@ -749,12 +845,24 @@ impl PaxosReplica {
             }
             self.log.mark_decided(slot);
         }
-        for (slot, batch) in self.log.take_deliverable() {
+        let delivered = self.log.take_deliverable();
+        let progressed = !delivered.is_empty();
+        for (slot, batch) in delivered {
             out.push(Action::Deliver { slot, batch });
         }
-        if decided_upto > self.log.first_gap() {
+        // Ask for the next chunk only while chunks make progress; a reply
+        // that filled nothing (the peer compacted what we need) leaves
+        // the retry to the next tick instead of a query/reply spin.
+        if progressed && decided_upto > self.log.first_gap() {
             self.catchup_now(now_ns, out);
         }
+    }
+
+    fn note_frontier(&mut self, peer: ReplicaId, frontier: Slot) {
+        self.peer_frontier[peer.index()] = PeerFrontier {
+            at: frontier,
+            owed_since: None,
+        };
     }
 
     fn note_peer_progress(&mut self, peer: ReplicaId, decided_upto: Slot) {
@@ -827,6 +935,9 @@ mod tests {
         replicas: Vec<PaxosReplica>,
         delivered: Vec<Vec<(Slot, Batch)>>,
         now: u64,
+        /// A replica whose links are all down (messages to and from it
+        /// are dropped).
+        cut: Option<ReplicaId>,
     }
 
     impl TestNet {
@@ -839,6 +950,7 @@ mod tests {
                 replicas: Vec::new(),
                 delivered: vec![Vec::new(); n],
                 now: 0,
+                cut: None,
             };
             let mut inbox = Vec::new();
             for r in replicas.iter_mut() {
@@ -873,6 +985,9 @@ mod tests {
                             Target::One(r) => vec![r],
                         };
                         for t in targets {
+                            if self.cut.is_some_and(|c| c == from || c == t) {
+                                continue;
+                            }
                             self.event(
                                 t,
                                 Event::Message {
@@ -1471,6 +1586,79 @@ mod tests {
         );
         assert!(out.is_empty(), "stale snapshot ignored: {out:?}");
         assert_eq!(r.decided_upto(), Slot(8));
+    }
+
+    fn keep_slots_net(keep: u64) -> TestNet {
+        let mut net = TestNet::new(3);
+        for r in &mut net.replicas {
+            r.set_compaction(CompactionPolicy::KeepSlots(keep));
+        }
+        net
+    }
+
+    fn heartbeat_from_leader(net: &mut TestNet, to: ReplicaId) {
+        let decided_upto = net.replicas[0].decided_upto();
+        net.event(
+            to,
+            Event::Message {
+                from: ReplicaId(0),
+                msg: ProtocolMsg::Heartbeat {
+                    view: View::ZERO,
+                    decided_upto,
+                },
+            },
+        );
+    }
+
+    /// A follower cut off for less than the suspect timeout pins the
+    /// leader's `KeepSlots` log at its frontier, so it catches up by
+    /// slots once its links heal. It is cut off before it ever reports
+    /// a frontier: the leader assumes slot 0 until a follower reports.
+    #[test]
+    fn keep_slots_retains_history_a_live_follower_needs() {
+        let mut net = keep_slots_net(8);
+        net.cut = Some(ReplicaId(2));
+        for i in 0..31 {
+            net.event(ReplicaId(0), Event::Proposal(batch(i)));
+        }
+        assert_eq!(net.replicas[0].decided_upto(), Slot(31));
+        assert!(net.replicas[0].log().truncated_below() <= net.replicas[2].decided_upto());
+        net.cut = None;
+        heartbeat_from_leader(&mut net, ReplicaId(2));
+        assert_eq!(net.replicas[2].decided_upto(), Slot(31));
+        assert_eq!(net.delivered[2], net.delivered[0]);
+        assert_eq!(net.replicas[0].unserved_catchups(), 0);
+    }
+
+    /// A follower that has owed the leader a reply for longer than the
+    /// suspect timeout pins nothing: the leader retains at most `n + WND`
+    /// slots. When the
+    /// stranded follower returns below the horizon, its query is counted
+    /// and does not pin the log again.
+    #[test]
+    fn keep_slots_bound_holds_with_a_follower_down() {
+        let keep = 8;
+        let mut net = keep_slots_net(keep);
+        let bound = keep as usize + net.replicas[0].config().window();
+        net.event(ReplicaId(0), Event::Proposal(batch(0)));
+        net.cut = Some(ReplicaId(2));
+        net.event(ReplicaId(0), Event::Proposal(batch(1)));
+        net.now += net.replicas[0].config().suspect_timeout().as_nanos() as u64 + 1;
+        for i in 2..200 {
+            net.event(ReplicaId(0), Event::Proposal(batch(i)));
+            let retained = net.replicas[0].log().len();
+            assert!(
+                retained <= bound,
+                "leader retains {retained} > {bound} slots"
+            );
+        }
+        net.cut = None;
+        heartbeat_from_leader(&mut net, ReplicaId(2));
+        assert_eq!(net.replicas[0].unserved_catchups(), 1);
+        for i in 200..220 {
+            net.event(ReplicaId(0), Event::Proposal(batch(i)));
+        }
+        assert!(net.replicas[0].log().len() <= bound);
     }
 
     #[test]

@@ -162,6 +162,7 @@ fn window_reopens_after_decides() {
             msg: ProtocolMsg::Accept {
                 view: View(0),
                 slot: Slot(0),
+                decided_upto: Slot(1),
             },
         },
         1,

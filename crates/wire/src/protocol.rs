@@ -85,6 +85,9 @@ pub enum ProtocolMsg {
         view: View,
         /// The accepted instance.
         slot: Slot,
+        /// The acceptor's first undecided slot when it sent this: lets
+        /// peers keep the history it may still need for catch-up.
+        decided_upto: Slot,
     },
     /// Catch-up request: ask a peer for the decided values of slots in
     /// `[from, to)` (§III, catch-up/state transfer task).
@@ -195,11 +198,16 @@ impl Codec for ProtocolMsg {
                 }
                 batch.encode(buf);
             }
-            ProtocolMsg::Accept { view, slot } => {
+            ProtocolMsg::Accept {
+                view,
+                slot,
+                decided_upto,
+            } => {
                 let mut w = WireWriter::new(buf);
                 w.u8(TAG_ACCEPT);
                 w.u64(view.0);
                 w.u64(slot.0);
+                w.u64(decided_upto.0);
             }
             ProtocolMsg::CatchupQuery { from, to } => {
                 let mut w = WireWriter::new(buf);
@@ -278,6 +286,7 @@ impl Codec for ProtocolMsg {
             TAG_ACCEPT => Ok(ProtocolMsg::Accept {
                 view: View(r.u64()?),
                 slot: Slot(r.u64()?),
+                decided_upto: Slot(r.u64()?),
             }),
             TAG_CATCHUP_QUERY => Ok(ProtocolMsg::CatchupQuery {
                 from: Slot(r.u64()?),
@@ -330,7 +339,7 @@ impl Codec for ProtocolMsg {
                         .sum::<usize>()
             }
             ProtocolMsg::Propose { batch, .. } => 1 + 8 + 8 + batch.encoded_len(),
-            ProtocolMsg::Accept { .. } => 1 + 8 + 8,
+            ProtocolMsg::Accept { .. } => 1 + 8 + 8 + 8,
             ProtocolMsg::CatchupQuery { .. } => 1 + 8 + 8,
             ProtocolMsg::CatchupReply { entries, .. } => {
                 1 + 8
@@ -394,6 +403,7 @@ mod tests {
         roundtrip(ProtocolMsg::Accept {
             view: View(1),
             slot: Slot(0),
+            decided_upto: Slot(3),
         });
         roundtrip(ProtocolMsg::CatchupQuery {
             from: Slot(2),
@@ -433,7 +443,8 @@ mod tests {
         assert_eq!(
             ProtocolMsg::Accept {
                 view: View(0),
-                slot: Slot(0)
+                slot: Slot(0),
+                decided_upto: Slot(0),
             }
             .kind(),
             "Accept"

@@ -57,9 +57,10 @@ fn arb_protocol_msg() -> impl Strategy<Value = ProtocolMsg> {
             slot: Slot(s),
             batch: b
         }),
-        (any::<u64>(), any::<u64>()).prop_map(|(v, s)| ProtocolMsg::Accept {
+        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(v, s, d)| ProtocolMsg::Accept {
             view: View(v),
-            slot: Slot(s)
+            slot: Slot(s),
+            decided_upto: Slot(d)
         }),
         (any::<u64>(), any::<u64>()).prop_map(|(f, t)| ProtocolMsg::CatchupQuery {
             from: Slot(f),
